@@ -1,22 +1,30 @@
 """Answer-graph generation: edge extension + node burnback (+ edge burnback).
 
-Phase 1 of the paper's evaluation model. Given a plan (a connected order
-of query edges), each query edge is materialized as the set of matching
-data edges that satisfy the join constraints with the current answer
-graph (*edge extension*, a predicate scan semijoined with the bound node
-sets), and nodes that fail to extend are removed with removals cascading
-backwards through previously materialized edges (*node burnback*).
+Phase 1 of the paper's evaluation model. Each query edge is materialized
+as the data edges that satisfy the join constraints with the rest of the
+answer graph (*edge extension*); nodes that fail to extend are removed,
+removals cascading through every edge that touches them (*node burnback*).
 
-Spark realization: per-variable node sets are single-column DataFrames;
-extension and burnback are ``left_semi`` joins; cascading is run in
-*sweeps* (forward in plan order, then backward, …). For a tree CQ a
-forward + backward + forward sequence reaches the full semijoin
-reduction — the **ideal answer graph** (iAG). For cyclic CQs sweeps
-monotonically shrink toward the node-burnback fixpoint (reachable with
-``to_fixpoint=True``); any prefix of sweeps is sound — no edge that
-participates in an embedding is ever removed — so phase 2 stays correct
-regardless of convergence, exactly as in the paper where node burnback
-alone leaves a correct but possibly non-ideal AG.
+For a tree CQ the result is the full semijoin reduction — the **ideal
+answer graph** (iAG) — which, as in Yannakakis' algorithm, one bottom-up
+and one top-down pass over a rooted spanning tree reach. The tree comes
+from the plan: the first plan edge's source variable is the root, each
+later edge hangs off the bound variable through which it joins, and an
+edge whose two variables are already bound is a *non-tree* edge. Every
+variable is *owned* by the plan edge that binds it first. One round:
+
+* bottom-up, in reverse plan order: each edge is semijoined, on each
+  variable it owns, with every other incident edge (its child edges and
+  the non-tree edges there);
+* top-down, in plan order: each edge is semijoined, on each variable it
+  does not own, with that variable's owner (its parent; for a non-tree
+  edge, both endpoints).
+
+That is 2(k−1) semijoins for a k-edge tree. A cyclic CQ repeats the round
+until the edge counts stop changing: then all edges at a variable agree
+on its node set, the node-burnback fixpoint the paper reports — possibly
+with spurious edges (its Fig. 4), never without an embedding's edge.
+Every rewritten relation is ``localCheckpoint``-ed once.
 
 ``edge_burnback`` implements the paper's §4 edge-burnback mechanism over
 a triangulated cycle: chords are maintained as intersections of the
@@ -27,6 +35,7 @@ our Table-1 harness follows the paper and disables it).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -35,6 +44,20 @@ from pyspark.sql import functions as F
 from repro.core.query import QueryGraph
 from repro.core.triangulate import Triangulation
 from repro.rdf import triple_store
+
+
+def _union(parts: list[DataFrame]) -> DataFrame:
+    return functools.reduce(DataFrame.unionByName, parts)
+
+
+def _row_counts(rels: list[DataFrame]) -> list[int]:
+    """Row count of every relation in one Spark job (a tagged union +
+    groupBy): per-action overhead dominates at small AG sizes."""
+    tagged = _union([df.select(F.lit(i).alias("__rel")) for i, df in enumerate(rels)])
+    counts = [0] * len(rels)
+    for r in tagged.groupBy("__rel").count().collect():
+        counts[r["__rel"]] = r["count"]
+    return counts
 
 
 @dataclass
@@ -49,26 +72,19 @@ class AnswerGraph:
     edges: dict[int, DataFrame]
     order: tuple[int, ...]
     extension_walks: dict[int, int] = field(default_factory=dict)
-    sweeps_run: int = 0
+    # Edge counts taken by the last fixpoint check, valid until the edges change.
+    _sizes: dict[int, int] | None = None
     _persisted: list[DataFrame] = field(default_factory=list)
 
     def edge_counts(self) -> dict[int, int]:
         """Materialized size of each reduced edge relation.
 
-        One Spark job for all edges (a tagged union + groupBy), not one
-        count per edge — burnback convergence checks call this per sweep
-        and per-action overhead dominates at small AG sizes.
+        A cyclic CQ's fixpoint loop has already counted them; otherwise
+        this costs one Spark job for all edges.
         """
-        parts = [
-            df.select(F.lit(i).alias("__edge")) for i, df in self.edges.items()
-        ]
-        tagged = parts[0]
-        for p in parts[1:]:
-            tagged = tagged.unionByName(p)
-        rows = tagged.groupBy("__edge").count().collect()
-        counts = {i: 0 for i in self.edges}
-        counts.update({r["__edge"]: r["count"] for r in rows})
-        return counts
+        if self._sizes is None:
+            return dict(zip(self.edges, _row_counts(list(self.edges.values()))))
+        return dict(self._sizes)
 
     def triple_count(self) -> int:
         """#distinct data-graph triples in the AG (the paper's AG size).
@@ -76,44 +92,36 @@ class AnswerGraph:
         Two query edges with the same label can match the same data edge;
         the AG is a sub*graph*, so those count once.
         """
-        parts = [
+        return _union([
             df.select(
                 F.col(self.query.edges[i].src).alias("s"),
                 F.lit(self.query.edges[i].label).alias("p"),
                 F.col(self.query.edges[i].dst).alias("o"),
             )
             for i, df in self.edges.items()
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.unionByName(p)
-        return out.distinct().count()
-
-    def node_set(self, var: str) -> DataFrame:
-        """Current candidate nodes for ``var`` (from any incident edge)."""
-        i = self.query.incident(var)[0]
-        return self.edges[i].select(var).distinct()
+        ]).distinct().count()
 
     def persist(self, df: DataFrame) -> DataFrame:
         """Cache *and truncate the lineage of* an intermediate relation.
 
-        Burnback is iterative; without truncation every sweep multiplies
-        the logical-plan tree (each edge references the previous sweep's
-        relations of all its neighbours) and Catalyst analysis time grows
-        exponentially with the sweep count. ``localCheckpoint`` replaces
-        the plan with a cached-RDD leaf; ``eager=False`` keeps laziness so
-        untimed work is never forced early.
+        Without truncation each relation's plan embeds the plans of every
+        relation it was reduced by, and Catalyst analysis time grows with
+        each pass. ``eager=False`` keeps laziness so untimed work is never
+        forced early.
         """
         out = df.localCheckpoint(eager=False)
         self._persisted.append(out)
         return out
 
     def unpersist(self) -> None:
+        """Release every checkpoint this AG made.
+
+        ``DataFrame.unpersist()`` does not free a ``localCheckpoint``
+        output: its blocks belong to the checkpointed RDD inside the
+        plan's ``LogicalRDD`` leaf, which is released directly.
+        """
         for df in self._persisted:
-            try:
-                df.unpersist()
-            except Exception:  # noqa: BLE001 - cache already dropped
-                pass
+            df._jdf.queryExecution().logical().rdd().unpersist(False)
         self._persisted.clear()
 
 
@@ -124,33 +132,57 @@ def _scan(triples: DataFrame, query: QueryGraph, i: int) -> DataFrame:
     )
 
 
-def _semi(df: DataFrame, node_set: DataFrame, var: str) -> DataFrame:
-    """Semijoin with a node set. Node sets are bounded by the AG size —
-    the very quantity the paper shows to be tiny — so they are broadcast
-    explicitly: burnback never shuffles the edge relations. (The session
-    disables *automatic* broadcasting so the baselines' large data-data
-    joins exercise the shuffle path; this hint is the WF operator design,
-    not a global setting.)"""
-    return df.join(F.broadcast(node_set), on=var, how="left_semi")
+def _semi(df: DataFrame, rel: DataFrame, var: str) -> DataFrame:
+    """Semijoin ``df`` with ``rel``'s projection onto ``var``.
+
+    The projection is bounded by the AG size — the very quantity the
+    paper shows to be tiny — so it is broadcast explicitly and burnback
+    never shuffles the edge relations. A broadcast left-semi build side
+    ignores duplicate keys, so no ``distinct()`` (a shuffle stage and a
+    second job) is needed. (The session disables *automatic* broadcasting
+    so the baselines' large data-data joins exercise the shuffle path;
+    this hint is the WF operator design, not a global setting.)"""
+    return df.join(F.broadcast(rel.select(var)), on=var, how="left_semi")
 
 
-def _sweep(
-    ag: AnswerGraph,
-    indices: list[int],
-    nodes: dict[str, DataFrame],
-) -> None:
-    """One burnback sweep: semijoin every edge with the current node sets
-    and propagate the shrunken endpoint sets (the cascade)."""
-    for i in indices:
-        e = ag.query.edges[i]
+def _round(ag: AnswerGraph, owner: dict[str, int]) -> None:
+    """One bottom-up + one top-down pass (see the module docstring)."""
+    q = ag.query
+    for i in reversed(ag.order):
         df = ag.edges[i]
-        for v in e.vars():
-            if v in nodes:
-                df = _semi(df, nodes[v], v)
-        df = ag.persist(df)
-        ag.edges[i] = df
-        for v in e.vars():
-            nodes[v] = df.select(v).distinct()
+        for v in q.edges[i].vars():
+            if owner[v] == i:
+                for j in q.incident(v):
+                    if j != i:
+                        df = _semi(df, ag.edges[j], v)
+        if df is not ag.edges[i]:
+            ag.edges[i] = ag.persist(df)
+    for i in ag.order:
+        df = ag.edges[i]
+        for v in q.edges[i].vars():
+            if owner[v] != i:
+                df = _semi(df, ag.edges[owner[v]], v)
+        if df is not ag.edges[i]:
+            ag.edges[i] = ag.persist(df)
+
+
+def _burnback(ag: AnswerGraph) -> None:
+    """Node burnback: one round for a tree CQ (the iAG), rounds until the
+    edge counts stop changing for a cyclic one (the fixpoint)."""
+    owner: dict[str, int] = {}
+    for i in ag.order:
+        for v in ag.query.edges[i].vars():
+            owner.setdefault(v, i)
+    ag._sizes = prev = None
+    while True:
+        _round(ag, owner)
+        if ag.query.is_tree():
+            return
+        cur = _row_counts([ag.edges[i] for i in ag.order])
+        if cur == prev:
+            ag._sizes = dict(zip(ag.order, cur))
+            return
+        prev = cur
 
 
 def build_answer_graph(
@@ -158,63 +190,34 @@ def build_answer_graph(
     query: QueryGraph,
     order: tuple[int, ...] | None = None,
     *,
-    sweeps: int | None = None,
-    to_fixpoint: bool = False,
-    max_sweeps: int = 12,
     instrument: bool = False,
 ) -> AnswerGraph:
-    """Run phase 1 and return the (persisted) answer graph.
+    """Run phase 1 and return the (persisted) answer graph: the iAG for a
+    tree CQ, the node-burnback fixpoint for a cyclic one.
 
     ``order`` must be a connected left-deep order (defaults to textual
-    order). ``sweeps`` counts *additional* full sweeps after the initial
-    forward extension pass (default: 2 for trees — provably the iAG — and
-    3 for cyclic queries). ``to_fixpoint`` iterates until edge counts stop
-    changing (the true node-burnback fixpoint; costs one count per edge
-    per sweep). ``instrument`` records per-edge extension sizes — the
-    paper's *edge walks* — during the first pass.
+    order); it fixes the spanning tree. ``instrument`` records the
+    paper's *edge walks*: each edge's plan-order extension size, its scan
+    semijoined with the latest extended edge at each bound variable. The
+    reduction then starts from those extensions; the AG is the same.
     """
     k = len(query.edges)
     order = tuple(order) if order is not None else tuple(range(k))
     if not query.is_connected_order(list(order)):
         raise ValueError(f"not a connected left-deep order for {query.name}: {order}")
 
-    ag = AnswerGraph(query, {}, order)
-    nodes: dict[str, DataFrame] = {}
-
-    # Initial forward pass: interleaved edge extension + node burnback.
-    for i in order:
-        e = query.edges[i]
-        df = _scan(triples, query, i)
-        for v in e.vars():
-            if v in nodes:
-                df = _semi(df, nodes[v], v)
-        df = ag.persist(df)
-        ag.edges[i] = df
-        if instrument:
+    ag = AnswerGraph(query, {i: _scan(triples, query, i) for i in order}, order)
+    if instrument:
+        latest: dict[str, DataFrame] = {}
+        for i in order:
+            df = ag.edges[i]
+            for v in query.edges[i].vars():
+                if v in latest:
+                    df = _semi(df, latest[v], v)
+            df = ag.edges[i] = ag.persist(df)
             ag.extension_walks[i] = df.count()
-        for v in e.vars():
-            nodes[v] = df.select(v).distinct()
-    ag.sweeps_run = 1
-
-    if sweeps is None:
-        sweeps = 2 if query.is_tree() else 3
-
-    if to_fixpoint:
-        prev = tuple(sorted(ag.edge_counts().items()))
-        backward = True
-        for _ in range(max_sweeps):
-            _sweep(ag, list(reversed(order)) if backward else list(order), nodes)
-            ag.sweeps_run += 1
-            backward = not backward
-            cur = tuple(sorted(ag.edge_counts().items()))
-            if cur == prev:
-                break
-            prev = cur
-    else:
-        directions = [list(reversed(order)), list(order)]
-        for s in range(sweeps):
-            _sweep(ag, directions[s % 2], nodes)
-            ag.sweeps_run += 1
+            latest.update((v, df) for v in query.edges[i].vars())
+    _burnback(ag)
     return ag
 
 
@@ -244,10 +247,15 @@ def edge_burnback(
     the join-projection of the opposite two sides; then every triangle
     side is semijoined with the join of the other two sides, iterating to
     fixpoint; finally node burnback re-cascades the shrunken node sets.
-    Only single-cycle queries (our diamonds) are supported — the workload
-    has no multi-cycle CQs.
+    Only single-cycle queries (our diamonds) are supported; a CQ with more
+    than one independent cycle raises ``ValueError``.
     """
     query = ag.query
+    cycles = len(query.edges) - len(query.variables) + 1
+    if cycles > 1:
+        raise ValueError(
+            f"edge burnback supports single-cycle CQs; {query.name} has {cycles} cycles"
+        )
 
     # side registry: var pair -> relation; query edges first, then chords.
     def pair_key(u: str, w: str) -> tuple[str, str]:
@@ -284,10 +292,7 @@ def edge_burnback(
         sides[key] = ag.persist(rel)
         is_chord[key] = True
 
-    def counts() -> tuple[tuple[tuple[str, str], int], ...]:
-        return tuple(sorted((k, df.count()) for k, df in sides.items()))
-
-    prev = counts()
+    prev = _row_counts(list(sides.values()))
     for _ in range(max_rounds):
         for a, b, c in tri.triangles:
             for u, w in ((a, b), (b, c), (a, c)):
@@ -295,7 +300,7 @@ def edge_burnback(
                 key, k1, k2 = pair_key(u, w), pair_key(u, m), pair_key(m, w)
                 support = sides[k1].join(sides[k2], on=m).select(u, w).distinct()
                 sides[key] = ag.persist(sides[key].join(support, on=[u, w], how="left_semi"))
-        cur = counts()
+        cur = _row_counts(list(sides.values()))
         if cur == prev:
             break
         prev = cur
@@ -306,10 +311,5 @@ def edge_burnback(
         if key in sides and not is_chord[key]:
             ag.edges[i] = sides[key].select(e.src, e.dst)
 
-    # node burnback re-cascade with the shrunken node sets
-    nodes = {v: ag.node_set(v) for v in query.variables}
-    for _ in range(2):
-        _sweep(ag, list(ag.order), nodes)
-        _sweep(ag, list(reversed(ag.order)), nodes)
-        ag.sweeps_run += 2
+    _burnback(ag)  # node burnback re-cascades the shrunken node sets
     return ag

@@ -152,7 +152,8 @@ class QueryGraph:
         first: dict[str, str] = {}
         where: list[str] = []
         for i, e in enumerate(self.edges):
-            where.append(f"t{i}.p = '{e.label}'")
+            label = e.label.replace("'", "''")  # SQL string-literal escape
+            where.append(f"t{i}.p = '{label}'")
             for var, col in ((e.src, "s"), (e.dst, "o")):
                 ref = f"t{i}.{col}"
                 if var in first:

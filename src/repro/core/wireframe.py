@@ -5,8 +5,9 @@ Ties the pieces together exactly as the paper's Figure 3 describes:
 1. **Edgifier** plans a left-deep query-edge order from the catalog
    (:mod:`repro.core.planner`); cyclic queries additionally get a
    **Triangulator** chordification (:mod:`repro.core.triangulate`).
-2. **Answer-graph generation** executes the plan with interleaved edge
-   extension and cascading node burnback
+2. **Answer-graph generation** reduces the plan's edge relations with
+   edge extension and cascading node burnback, one bottom-up and one
+   top-down semijoin pass over the plan's spanning tree
    (:mod:`repro.core.answer_graph`); optionally edge burnback for cyclic
    queries (off by default — the paper's experiments run without it).
 3. **Defactorizer** greedily joins the reduced AG edge relations into
@@ -50,26 +51,20 @@ def run(
     catalog: Catalog,
     *,
     use_edge_burnback: bool = False,
-    to_fixpoint: bool = False,
     instrument: bool = False,
 ) -> WireframeRun:
     """Plan and evaluate ``query``; returns the lazy embedding DataFrame
     plus the phase-1 artifacts.
 
-    ``instrument=True`` additionally materializes AG edge counts, the AG
-    triple count, and the embedding count (the Table-1 columns), and runs
-    node burnback to its true fixpoint so the reported AG matches the
-    paper's definition.
+    Phase 1 yields the AG the paper reports: the iAG for a tree CQ, the
+    node-burnback fixpoint for a cyclic one (unless edge burnback is
+    requested). ``instrument=True`` additionally counts the plan-order
+    extension sizes (edge walks), and keeps the AG edge counts, the AG
+    triple count and the embedding count (the Table-1 columns).
     """
     p = plan(query, catalog)
     tri = triangulate_query(query, catalog)
-    ag = agmod.build_answer_graph(
-        triples,
-        query,
-        p.order,
-        to_fixpoint=to_fixpoint or instrument,
-        instrument=instrument,
-    )
+    ag = agmod.build_answer_graph(triples, query, p.order, instrument=instrument)
     if use_edge_burnback:
         if tri is None:
             raise ValueError("edge burnback only applies to cyclic queries")

@@ -8,9 +8,9 @@ the paper's own unit, scheduler-independent:
 * a direct-join baseline materializes every intermediate join result:
   its work = the sum (and max) of all intermediate result cardinalities
   along its join order/tree (computed exactly with DuckDB);
-* WIREFRAME materializes the answer-graph edge relations (bounded by
-  |AG| per sweep) and then only the final embeddings: its work = the
-  total retrieved AG edges (the paper's edge walks) summed over sweeps.
+* WIREFRAME materializes the answer-graph edge relations and then only
+  the final embeddings: its work = the edges retrieved by plan-order
+  edge extension (the paper's edge walks) plus the reduced AG edges.
 
 Both exclude the final result (identical for every strategy).
 """
@@ -99,8 +99,8 @@ def baseline_work(
 
 def wireframe_work(ag_edge_counts: dict[int, int], extension_walks: dict[int, int]) -> Work:
     """WF's phase-1 work from an instrumented run: edges retrieved during
-    extension (the paper's edge walks) plus the reduced relations carried
-    through burnback sweeps (each bounded by the extension size)."""
+    extension (the paper's edge walks) plus the reduced relations that
+    node burnback leaves (each bounded by its extension size)."""
     total = sum(extension_walks.values()) + sum(ag_edge_counts.values())
     peak = max(extension_walks.values()) if extension_walks else 0
     return Work(total=total, peak=peak)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import answer_graph as agmod
 from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.catalog import build_catalog
 from repro.core.defactorize import embeddings
@@ -74,12 +75,18 @@ def test_disconnected_order_rejected(fig1):
         build_answer_graph(fig1, CHAIN, (0, 1))
 
 
-def test_zero_sweeps_sound_but_not_ideal(fig1):
-    """Extension-only (no extra sweeps): correct embeddings, larger AG."""
-    ag = build_answer_graph(fig1, CHAIN, (0, 1, 2), sweeps=0)
-    counts = ag.edge_counts()
-    assert counts[0] == 4  # (4,A,11) not yet burned: burnback flows backwards
-    assert embeddings(ag).count() == 9  # defactorization joins still correct
+@pytest.mark.parametrize(
+    "order", [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)], ids=lambda o: "-".join(map(str, o))
+)
+def test_tree_round_runs_2k_minus_2_semijoins(fig1, monkeypatch, order):
+    """One bottom-up + one top-down pass: k-1 semijoins each, whatever the
+    plan's root, and the result is already the iAG."""
+    calls = []
+    real = agmod._semi
+    monkeypatch.setattr(agmod, "_semi", lambda *a: calls.append(a[2]) or real(*a))
+    ag = build_answer_graph(fig1, CHAIN, order)
+    assert len(calls) == 2 * (len(CHAIN.edges) - 1)
+    assert ag.edge_counts() == {0: 3, 1: 1, 2: 3}
     ag.unpersist()
 
 
@@ -90,10 +97,13 @@ def test_instrumented_walks(fig1):
     ag.unpersist()
 
 
-def test_fixpoint_flag_matches_fixed_sweeps_on_tree(fig1):
-    a = build_answer_graph(fig1, CHAIN, to_fixpoint=True)
-    b = build_answer_graph(fig1, CHAIN)
-    assert a.edge_counts() == b.edge_counts()
+@pytest.mark.parametrize("shape", ["chain", "diamond"])
+def test_instrumented_ag_equals_timed_ag(fig1, dia_data, shape):
+    """Counting the extension walks does not change the AG phase 1 yields."""
+    data, q = (fig1, CHAIN) if shape == "chain" else (dia_data, DIA)
+    a = build_answer_graph(data, q, instrument=True)
+    b = build_answer_graph(data, q)
+    assert all(_edge_rows(a, i) == _edge_rows(b, i) for i in range(len(q.edges)))
     a.unpersist()
     b.unpersist()
 
@@ -152,7 +162,7 @@ def dia_data(spark):
 
 
 def test_node_burnback_keeps_spurious_edge(dia_data):
-    ag = build_answer_graph(dia_data, DIA, to_fixpoint=True)
+    ag = build_answer_graph(dia_data, DIA)
     assert ag.edge_counts()[0] == 3  # (1,10),(2,11),(1,11) all survive
     assert embeddings(ag).count() == 2  # defactorization still correct
     ag.unpersist()
@@ -162,7 +172,7 @@ def test_edge_burnback_restores_ideal(spark, dia_data):
     cat = build_catalog(dia_data)
     tri = triangulate_query(DIA, cat)
     assert tri is not None
-    ag = build_answer_graph(dia_data, DIA, to_fixpoint=True)
+    ag = build_answer_graph(dia_data, DIA)
     ag = edge_burnback(ag, tri)
     assert ag.edge_counts() == {0: 2, 1: 2, 2: 2, 3: 2}
     assert _edge_rows(ag, 0) == [(1, 10), (2, 11)]
@@ -184,4 +194,17 @@ def test_triple_count_dedups_shared_data_edges(spark):
     assert ag.edge_counts() == {0: 2, 1: 2}
     assert ag.triple_count() == 2  # not 4
     assert embeddings(ag).count() == 4
+    ag.unpersist()
+
+
+def test_edge_burnback_rejects_multi_cycle_cq(spark):
+    """A 4-cycle plus a diagonal has two independent cycles."""
+    rows = [(1, "A", 2), (2, "B", 3), (1, "C", 4), (4, "D", 3), (1, "E", 3)]
+    df = micro_triples(spark, rows)
+    q = cq("k4", ("a", "A", "b"), ("b", "B", "c"), ("a", "C", "d"), ("d", "D", "c"),
+           ("a", "E", "c"))
+    tri = triangulate_query(q, build_catalog(df))
+    ag = build_answer_graph(df, q)
+    with pytest.raises(ValueError, match="cycles"):
+        edge_burnback(ag, tri)
     ag.unpersist()

@@ -179,3 +179,13 @@ def test_to_sql_shared_subject():
 
 def test_to_sql_table_name_parameter():
     assert "mytable t0" in cq("x", ("a", "A", "b")).to_sql("mytable")
+
+
+def test_to_sql_quotes_labels():
+    """A quote in a label is escaped, so the SQL stays valid and exact."""
+    con = duckdb.connect()
+    con.register("triples", pd.DataFrame(
+        [(1, "O'Hare", 10), (10, "B", 20), (2, "O", 10)], columns=["s", "p", "o"]
+    ))
+    q = cq("quoted", ("a", "O'Hare", "b"), ("b", "B", "c"))
+    assert con.execute(q.to_sql()).fetchall() == [(1, 10, 20)]

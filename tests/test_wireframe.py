@@ -1,10 +1,14 @@
 """End-to-end WIREFRAME: correctness vs oracle, factorization invariants."""
 from __future__ import annotations
 
+import uuid
+
 import duckdb
 import pytest
 
 from repro.core import wireframe
+from repro.core.answer_graph import build_answer_graph
+from repro.core.planner import plan
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
 from repro.oracle import assert_equivalent
 
@@ -86,17 +90,103 @@ def test_edge_burnback_shrinks_ag_preserves_result(triples, triples_pdf, catalog
         eb.unpersist()
 
 
+def _assert_ideal(r, q):
+    """Every AG edge participates in an embedding."""
+    emb = r.embedding_df
+    sizes = r.ag.edge_counts()
+    for i, e in enumerate(q.edges):
+        used = emb.select(e.src, e.dst).distinct().count()
+        assert sizes[i] == used, (q.name, i)
+
+
 @pytest.mark.parametrize("q", DIAMONDS, ids=lambda q: q.name)
 def test_edge_burnback_yields_ideal_ag(triples, catalog, q):
     """After edge burnback every AG edge participates in an embedding."""
     r = wireframe.run(triples, q, catalog, instrument=True, use_edge_burnback=True)
     try:
-        emb = r.embedding_df
-        for i, e in enumerate(q.edges):
-            used = emb.select(e.src, e.dst).distinct().count()
-            assert r.ag_edge_counts[i] == used, (q.name, i)
+        _assert_ideal(r, q)
     finally:
         r.unpersist()
+
+
+@pytest.mark.parametrize("q", SNOWFLAKES, ids=lambda q: q.name)
+def test_tree_ag_is_ideal(triples, catalog, q):
+    """Phase 1 alone yields the iAG of a tree CQ."""
+    r = wireframe.run(triples, q, catalog)
+    try:
+        _assert_ideal(r, q)
+    finally:
+        r.unpersist()
+
+
+def _node_burnback_reference(triples_pdf, q) -> dict[int, set[tuple[int, int]]]:
+    """Node-burnback fixpoint in pandas: restrict every edge relation to
+    the nodes all incident edges agree on, until nothing changes."""
+    pdf = triples_pdf.drop_duplicates()
+    rels = {
+        i: pdf[pdf.p == e.label][["s", "o"]].set_axis([e.src, e.dst], axis=1)
+        for i, e in enumerate(q.edges)
+    }
+    while True:
+        before = [len(r) for r in rels.values()]
+        for v in q.variables:
+            inc = q.incident(v)
+            common = set.intersection(*(set(rels[i][v]) for i in inc))
+            for i in inc:
+                rels[i] = rels[i][rels[i][v].isin(common)]
+        if [len(r) for r in rels.values()] == before:
+            return {i: set(r.itertuples(index=False, name=None)) for i, r in rels.items()}
+
+
+@pytest.mark.parametrize("q", DIAMONDS, ids=lambda q: q.name)
+def test_cyclic_ag_is_node_burnback_fixpoint(triples, triples_pdf, catalog, q):
+    expect = _node_burnback_reference(triples_pdf, q)
+    r = wireframe.run(triples, q, catalog)
+    try:
+        got = {
+            i: set(map(tuple, r.ag.edges[i].select(e.src, e.dst).collect()))
+            for i, e in enumerate(q.edges)
+        }
+        assert got == expect
+        assert r.ag.edge_counts() == {i: len(rows) for i, rows in expect.items()}
+    finally:
+        r.unpersist()
+
+
+def test_phase1_jobs_bounded_by_semijoins(spark, triples, catalog):
+    """A k-edge tree CQ costs at most one Spark job per semijoin: 2(k-1)."""
+    q = SNOWFLAKES[0]
+    sc = spark.sparkContext
+    group = f"phase1-{uuid.uuid4().hex}"
+    saved = sc.getLocalProperty("spark.jobGroup.id")
+    sc.setJobGroup(group, "build_answer_graph", False)
+    try:
+        ag = build_answer_graph(triples, q, plan(q, catalog).order)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", saved)
+    try:
+        ag.edge_counts()  # waits for every broadcast the build started
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        assert 0 < len(jobs) <= 2 * (len(q.edges) - 1)
+    finally:
+        ag.unpersist()
+
+
+@pytest.mark.parametrize(
+    "q, eb", [(SNOWFLAKES[0], False), (DIAMONDS[0], False), (DIAMONDS[0], True)],
+    ids=["S1", "D6", "D6-edge-burnback"],
+)
+def test_runs_release_all_checkpoints(spark, triples, catalog, q, eb):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    if eb:
+        r = wireframe.run(triples, q, catalog, use_edge_burnback=True)
+        r.embedding_df.count()
+        r.unpersist()
+    else:
+        wireframe.count_embeddings(triples, q, catalog)
+    assert persistent().size() == before
 
 
 def test_edge_burnback_rejected_for_trees(triples, catalog):
