@@ -81,20 +81,6 @@ class Estimator:
             walks *= min(1.0, eligible / d)
         return walks if shared else scan
 
-    def embedding_estimate(self) -> float:
-        """Rough full-query output estimate (pairs-based, tests only)."""
-        full = frozenset(range(len(self.query.edges)))
-        sizes = self.edge_sizes(full)
-        cards = self._cards(full)
-        est = 1.0
-        for i, e in enumerate(self.query.edges):
-            est *= max(sizes[i], 1e-12)
-        for v, c in cards.items():
-            deg = sum(1 for e in self.query.edges if v in e.vars())
-            if deg > 1:
-                est /= max(c, 1e-12) ** (deg - 1)
-        return est
-
     # -- internals ---------------------------------------------------------
     def _edge_size(self, i: int, cards: dict[str, float]) -> float:
         e = self.query.edges[i]

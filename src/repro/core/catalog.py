@@ -13,9 +13,14 @@ of 1-gram and 2-gram edge-label statistics computed offline. Here:
   ``pairs(p,pi,q,rho) = sum_v deg_{p,pi}(v) * deg_{q,rho}(v)`` — the exact
   size of the one-join ``p ⋈ q`` on those positions.
 
-Everything is computed with DataFrame aggregations over per-node degree
-tables (size ≤ #triples), never a triple×triple join, then collected to
-the driver: with ~100 predicates the catalog is a few thousand numbers.
+All of it comes from one Spark aggregation and one ``collect()``. A single
+degree table ``deg(p, pos, v, d)`` (size ≤ 2·#triples, unique per
+``(p, pos, v)``) is self-joined on ``v`` and grouped by both sides'
+``(p, pos)``: each group's row count is ``match`` and its ``sum(d·d)`` is
+``pairs``. The 1-gram values are read off the diagonal ``(p, pos, p, pos)``,
+where the row count is ``ds(p)`` (``pos = s``) or ``do(p)`` (``pos = o``)
+and ``sum(d)`` at ``s`` is ``n(p)``. With ~100 predicates the catalog is a
+few thousand numbers on the driver.
 """
 from __future__ import annotations
 
@@ -92,41 +97,37 @@ class Catalog:
 
 def build_catalog(triples: DataFrame) -> Catalog:
     """Compute the full catalog from a (s, p, o) triple DataFrame."""
-    one = (
-        triples.groupBy("p")
+    deg = (
+        triples.select("p", F.lit("s").alias("pos"), F.col("s").alias("v"))
+        .unionByName(triples.select("p", F.lit("o").alias("pos"), F.col("o").alias("v")))
+        .groupBy("p", "pos", "v")
+        .agg(F.count("*").alias("d"))
+    )
+    rows = (
+        deg.alias("a")
+        .join(deg.alias("b"), "v")
+        .groupBy(
+            F.col("a.p").alias("p1"), F.col("a.pos").alias("pi"),
+            F.col("b.p").alias("p2"), F.col("b.pos").alias("rho"),
+        )
         .agg(
-            F.count("*").alias("n"),
-            F.countDistinct("s").alias("ds"),
-            F.countDistinct("o").alias("do"),
+            F.count("*").alias("m"),
+            F.sum(F.col("a.d") * F.col("b.d")).alias("j"),
+            F.sum("a.d").alias("n"),
         )
         .collect()
     )
-    n = {r["p"]: r["n"] for r in one}
-    ds = {r["p"]: r["ds"] for r in one}
-    do = {r["p"]: r["do"] for r in one}
-
-    deg = {
-        pos: triples.groupBy("p", F.col(pos).alias("v")).agg(F.count("*").alias("d")).persist()
-        for pos in ("s", "o")
-    }
+    n: dict[str, int] = {}
+    ds: dict[str, int] = {}
+    do: dict[str, int] = {}
     match: dict[TwoGramKey, int] = {}
     pairs: dict[TwoGramKey, int] = {}
-    for pi in ("s", "o"):
-        for rho in ("s", "o"):
-            left = deg[pi].select(F.col("p").alias("p1"), "v", F.col("d").alias("d1"))
-            right = deg[rho].select(F.col("p").alias("p2"), "v", F.col("d").alias("d2"))
-            rows = (
-                left.join(right, "v")
-                .groupBy("p1", "p2")
-                .agg(
-                    F.countDistinct("v").alias("m"),
-                    F.sum(F.col("d1") * F.col("d2")).alias("j"),
-                )
-                .collect()
-            )
-            for r in rows:
-                match[(r["p1"], pi, r["p2"], rho)] = r["m"]
-                pairs[(r["p1"], pi, r["p2"], rho)] = int(r["j"])
-    for df in deg.values():
-        df.unpersist()
+    for r in rows:
+        p, pi, q, rho = key = (r["p1"], r["pi"], r["p2"], r["rho"])
+        match[key] = r["m"]
+        pairs[key] = int(r["j"])
+        if (p, pi) == (q, rho):  # the diagonal carries the 1-gram counts
+            (ds if pi == "s" else do)[p] = r["m"]
+            if pi == "s":
+                n[p] = int(r["n"])
     return Catalog(n, ds, do, match, pairs)

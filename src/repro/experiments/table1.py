@@ -34,8 +34,8 @@ class Timeout(Exception):
 
 def run_with_timeout(spark: SparkSession, fn, timeout_s: float):
     """Run ``fn()`` (which may launch many Spark jobs) with a wall-clock
-    budget; on timeout every job of the call is cancelled via its job
-    group and ``Timeout`` is raised.
+    budget; on timeout the call's job group is cancelled together with
+    every job it would still submit, and ``Timeout`` is raised.
     """
     gid = f"table1-{uuid.uuid4().hex[:8]}"
     sc = spark.sparkContext
@@ -54,7 +54,9 @@ def run_with_timeout(spark: SparkSession, fn, timeout_s: float):
     th.start()
     th.join(timeout_s)
     if th.is_alive():
-        sc.cancelJobGroup(gid)
+        # cancelJobGroup alone stops only running jobs; fn() keeps going
+        # in its thread and would start the next one.
+        sc._jsc.sc().cancelJobGroupAndFutureJobs(gid)
         th.join(5)  # short grace period; cancelled jobs die asynchronously
         raise Timeout
     if "error" in box:

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import uuid
 
 import pandas as pd
 import pytest
 
 from repro.core.catalog import Catalog, build_catalog
+from repro.rdf import triple_store
 from tests.conftest import micro_triples
 
 MICRO_ROWS = [
@@ -110,3 +112,53 @@ def test_full_catalog_twogram_spotcheck(catalog, triples_pdf):
 
 def test_full_catalog_covers_all_predicates(catalog, triples_pdf):
     assert set(catalog.predicates) == set(triples_pdf["p"].unique())
+
+
+def _pandas_catalog(pdf: pd.DataFrame) -> Catalog:
+    """The whole catalog recomputed in pandas from its definitions."""
+    deg = pd.concat(
+        pdf.groupby(["p", pos]).size().rename("d").reset_index()
+        .rename(columns={pos: "v"}).assign(pos=pos)
+        for pos in ("s", "o")
+    )
+    j = deg.merge(deg, on="v", suffixes=("1", "2"))
+    j["dd"] = j["d1"] * j["d2"]
+    g = j.groupby(["p1", "pos1", "p2", "pos2"]).agg(m=("v", "nunique"), j=("dd", "sum"))
+    return Catalog(
+        pdf.groupby("p").size().to_dict(),
+        pdf.groupby("p")["s"].nunique().to_dict(),
+        pdf.groupby("p")["o"].nunique().to_dict(),
+        g["m"].to_dict(),
+        g["j"].to_dict(),
+    )
+
+
+def test_full_catalog_equals_pandas_reference(catalog, triples_pdf):
+    ref = _pandas_catalog(triples_pdf)
+    assert catalog.n == ref.n
+    assert catalog.ds == ref.ds
+    assert catalog.do == ref.do
+    # equal dicts: same 2-gram keys (none missing, none extra) and values
+    assert catalog.match == ref.match
+    assert catalog.pairs == ref.pairs
+    assert min(catalog.match.values()) > 0 and min(catalog.pairs.values()) > 0
+
+
+def test_catalog_build_is_one_aggregation(spark, triples, catalog, tmp_path):
+    """The whole catalog is one aggregation: at most 4 Spark jobs on a
+    Parquet triple store, as in the benchmark (the session's in-memory
+    frame takes 6)."""
+    path = str(tmp_path / "store")
+    triple_store.write(triples, path)
+    store = triple_store.read(spark, path)
+    sc = spark.sparkContext
+    group = f"catalog-{uuid.uuid4().hex}"
+    saved = sc.getLocalProperty("spark.jobGroup.id")
+    sc.setJobGroup(group, "build_catalog", False)
+    try:
+        built = build_catalog(store)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", saved)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 4
+    assert built == catalog

@@ -1,6 +1,7 @@
 """Table-1 harness: timing protocol, timeouts, markdown formatting."""
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -23,6 +24,33 @@ def test_run_with_timeout_times_out(spark):
     with pytest.raises(t1.Timeout):
         t1.run_with_timeout(spark, lambda: time.sleep(30), timeout_s=0.5)
     assert time.perf_counter() - t0 < 10
+
+
+def test_timed_out_cell_launches_no_more_jobs(spark):
+    """After ``Timeout`` the cell's group starts no job, even between jobs."""
+    sc = spark.sparkContext
+    box: dict = {}
+    stop = threading.Event()
+
+    def fn():
+        box["gid"] = sc.getLocalProperty("spark.jobGroup.id")
+        while not stop.is_set():
+            spark.range(100).count()
+            time.sleep(0.05)
+
+    try:
+        with pytest.raises(t1.Timeout):
+            t1.run_with_timeout(spark, fn, timeout_s=1.0)
+        tracker = sc.statusTracker()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        seen = set(tracker.getJobIdsForGroup(box["gid"]))
+        assert seen
+        time.sleep(1.0)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert set(tracker.getJobIdsForGroup(box["gid"])) == seen
+        assert not seen & set(tracker.getActiveJobsIds())
+    finally:
+        stop.set()
 
 
 def test_time_cell_wf_returns_count(spark, triples, catalog, triples_pdf):
