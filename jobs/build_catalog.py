@@ -10,6 +10,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.catalog import Catalog, build_catalog
 from repro.rdf import triple_store
+from repro.spark_session import get_spark
 
 
 def run(spark: SparkSession, *, data: str, out: str) -> Catalog:
@@ -24,8 +25,6 @@ def main() -> None:
     ap.add_argument("--data", required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-
-    from _session import get_spark
 
     spark = get_spark("build_catalog")
     catalog = run(spark, data=args.data, out=args.out)

@@ -10,6 +10,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.rdf import triple_store
 from repro.rdf.yago_lite import yago_lite
+from repro.spark_session import get_spark
 
 
 def run(spark: SparkSession, *, sf: float, seed: int, out: str) -> DataFrame:
@@ -25,8 +26,6 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-
-    from _session import get_spark
 
     spark = get_spark("build_dataset")
     df = run(spark, sf=args.sf, seed=args.seed, out=args.out)

@@ -10,6 +10,7 @@ import argparse
 from repro.core.catalog import Catalog
 from repro.rdf import triple_store
 from repro.rdf.query_miner import DIAMOND_TEMPLATE, SNOWFLAKE_TEMPLATE, mine
+from repro.spark_session import get_spark
 
 
 def main() -> None:
@@ -19,8 +20,6 @@ def main() -> None:
     ap.add_argument("--shape", choices=("snowflake", "diamond"), default="diamond")
     ap.add_argument("--limit", type=int, default=5)
     args = ap.parse_args()
-
-    from _session import get_spark
 
     spark = get_spark("mine_queries")
     triples = triple_store.read(spark, args.data)

@@ -1,9 +1,9 @@
 """Reproduce the paper's Table 1 end to end and print paper-vs-measured rows.
 
-Generates (or reuses) the YAGO2s-lite triple store at ``--sf``, builds the
-catalog, runs the 10-query workload on WIREFRAME and the four baseline
-simulators with the paper's protocol (warm-up + averaged rounds, timeout
-as ``*``), and prints the markdown table recorded in EXPERIMENTS.md.
+Generates (or reuses) the YAGO2s-lite triple store at ``--sf``/``--seed``,
+builds the catalog, runs the 10-query workload on WIREFRAME and the four
+baseline simulators with the paper's protocol (warm-up + averaged rounds,
+timeout as ``*``), and prints the markdown table recorded in EXPERIMENTS.md.
 
     spark-submit jobs/run_table1.py --sf 0.1 --timeout 120 --rounds 2 \
         --workdir data/table1
@@ -11,30 +11,10 @@ as ``*``), and prints the markdown table recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
-import os
 
-from pyspark.sql import SparkSession
-
-from repro.core.catalog import Catalog, build_catalog
 from repro.experiments import table1
-from repro.rdf import triple_store
-from repro.rdf.yago_lite import yago_lite
-
-
-def prepare(
-    spark: SparkSession, *, sf: float, seed: int, workdir: str
-):
-    """Parquet triple store + catalog for the run (cached in ``workdir``)."""
-    os.makedirs(workdir, exist_ok=True)
-    store = os.path.join(workdir, f"yago_sf{sf}")
-    triples = triple_store.materialize(spark, yago_lite(spark, sf=sf, seed=seed), store)
-    cat_path = os.path.join(workdir, f"catalog_sf{sf}.json")
-    if os.path.exists(cat_path):
-        catalog = Catalog.from_json(cat_path)
-    else:
-        catalog = build_catalog(triples)
-        catalog.to_json(cat_path)
-    return triples, catalog
+from repro.rdf.yago_lite import yago_lite_pdf
+from repro.spark_session import get_spark
 
 
 def main() -> None:
@@ -47,14 +27,12 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="also write the markdown here")
     args = ap.parse_args()
 
-    from _session import get_spark
-
     spark = get_spark("table1")
-    triples, catalog = prepare(spark, sf=args.sf, seed=args.seed, workdir=args.workdir)
+    triples, catalog = table1.prepare(
+        spark, sf=args.sf, seed=args.seed, workdir=args.workdir
+    )
     print(f"[table1] sf={args.sf} triples={triples.count()} "
           f"timeout={args.timeout}s rounds={args.rounds}", flush=True)
-    from repro.rdf.yago_lite import yago_lite_pdf
-
     rows = table1.run_table1(
         spark,
         triples,

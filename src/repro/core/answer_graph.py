@@ -193,7 +193,8 @@ def build_answer_graph(
     instrument: bool = False,
 ) -> AnswerGraph:
     """Run phase 1 and return the (persisted) answer graph: the iAG for a
-    tree CQ, the node-burnback fixpoint for a cyclic one.
+    tree CQ, the node-burnback fixpoint for a cyclic one. If the build
+    raises, every checkpoint it made is released first.
 
     ``order`` must be a connected left-deep order (defaults to textual
     order); it fixes the spanning tree. ``instrument`` records the
@@ -207,17 +208,24 @@ def build_answer_graph(
         raise ValueError(f"not a connected left-deep order for {query.name}: {order}")
 
     ag = AnswerGraph(query, {i: _scan(triples, query, i) for i in order}, order)
-    if instrument:
-        latest: dict[str, DataFrame] = {}
-        for i in order:
-            df = ag.edges[i]
-            for v in query.edges[i].vars():
-                if v in latest:
-                    df = _semi(df, latest[v], v)
-            df = ag.edges[i] = ag.persist(df)
-            ag.extension_walks[i] = df.count()
-            latest.update((v, df) for v in query.edges[i].vars())
-    _burnback(ag)
+    try:
+        if instrument:
+            latest: dict[str, DataFrame] = {}
+            for i in order:
+                df = ag.edges[i]
+                for v in query.edges[i].vars():
+                    if v in latest:
+                        df = _semi(df, latest[v], v)
+                df = ag.edges[i] = ag.persist(df)
+                ag.extension_walks[i] = df.count()
+                latest.update((v, df) for v in query.edges[i].vars())
+        _burnback(ag)
+    except BaseException:
+        # A checkpoint is registered as soon as it is made, and the
+        # semijoins' broadcasts run jobs mid-build: an error or a
+        # cancelled job group must not leave the checkpoints behind.
+        ag.unpersist()
+        raise
     return ag
 
 

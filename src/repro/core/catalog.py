@@ -54,18 +54,9 @@ class Catalog:
         d = self.ds if pos == "s" else self.do
         return d.get(p, 0)
 
-    def avg_degree(self, p: str, pos: Pos) -> float:
-        """Average #edges per distinct node at ``pos`` of ``p``."""
-        d = self.distinct(p, pos)
-        return self.count(p) / d if d else 0.0
-
     def match_count(self, p: str, pi: Pos, q: str, rho: Pos) -> int:
         """Distinct shared nodes between (p, pi) and (q, rho)."""
         return self.match.get((p, pi, q, rho), 0)
-
-    def pair_count(self, p: str, pi: Pos, q: str, rho: Pos) -> int:
-        """Exact size of the single join p ⋈ q on positions (pi, rho)."""
-        return self.pairs.get((p, pi, q, rho), 0)
 
     @property
     def predicates(self) -> list[str]:

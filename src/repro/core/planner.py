@@ -30,10 +30,6 @@ class Plan:
     order: tuple[int, ...]
     cost: float
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.query.edges[i].label for i in self.order)
-
 
 def plan(query: QueryGraph, catalog: Catalog) -> Plan:
     """Optimal connected left-deep edge order by subset DP."""

@@ -60,33 +60,32 @@ def run(
     node-burnback fixpoint for a cyclic one (unless edge burnback is
     requested). ``instrument=True`` additionally counts the plan-order
     extension sizes (edge walks), and keeps the AG edge counts, the AG
-    triple count and the embedding count (the Table-1 columns).
+    triple count and the embedding count (the Table-1 columns). If the
+    evaluation raises, the AG's checkpoints are released before the error
+    propagates.
     """
     p = plan(query, catalog)
     tri = triangulate_query(query, catalog)
+    if use_edge_burnback and tri is None:
+        raise ValueError("edge burnback only applies to cyclic queries")
+    # The build releases its own checkpoints if it raises.
     ag = agmod.build_answer_graph(triples, query, p.order, instrument=instrument)
-    if use_edge_burnback:
-        if tri is None:
-            raise ValueError("edge burnback only applies to cyclic queries")
-        ag = agmod.edge_burnback(ag, tri)
+    try:
+        if use_edge_burnback:
+            ag = agmod.edge_burnback(ag, tri)
+        sizes = ag.edge_counts()  # phase-1 statistics drive the greedy phase 2
+        order = defactorize.greedy_order(ag, sizes)
+        emb = defactorize.embeddings(ag, order)
 
-    sizes = ag.edge_counts()  # phase-1 statistics drive the greedy phase 2
-    order = defactorize.greedy_order(ag, sizes)
-    emb = defactorize.embeddings(ag, order)
-
-    run_ = WireframeRun(query, p, tri, ag, emb)
-    if instrument:
-        run_.ag_edge_counts = sizes
-        run_.ag_triples = ag.triple_count()
-        run_.embedding_count = emb.count()
+        run_ = WireframeRun(query, p, tri, ag, emb)
+        if instrument:
+            run_.ag_edge_counts = sizes
+            run_.ag_triples = ag.triple_count()
+            run_.embedding_count = emb.count()
+    except BaseException:
+        ag.unpersist()
+        raise
     return run_
-
-
-def wireframe_embeddings(
-    triples: DataFrame, query: QueryGraph, catalog: Catalog, **kw
-) -> DataFrame:
-    """Convenience: just the embedding DataFrame (used by tests/oracle)."""
-    return run(triples, query, catalog, **kw).embedding_df
 
 
 def count_embeddings(

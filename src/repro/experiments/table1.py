@@ -6,10 +6,12 @@ one warm-up execution then the mean of ``rounds`` timed executions of the
 exceeding ``timeout_s`` are reported as ``None`` and printed ``*``. An
 additional untimed instrumented WIREFRAME pass per query collects the AG
 size (node-burnback fixpoint, matching the paper's AG/iAG column) and the
-embedding count.
+embedding count. :func:`prepare` writes (or reuses) the Parquet store and
+catalog a run measures.
 """
 from __future__ import annotations
 
+import os
 import threading
 import time
 import uuid
@@ -20,12 +22,32 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import BASELINES
 from repro.core import wireframe
-from repro.core.catalog import Catalog
+from repro.core.catalog import Catalog, build_catalog
 from repro.core.query import QueryGraph
 from repro.core.queries_table1 import PAPER_TABLE1, PaperRow
 from repro.experiments.workcount import Work, baseline_work, wireframe_work
+from repro.rdf import triple_store
+from repro.rdf.yago_lite import yago_lite
 
 SYSTEMS = ("PG", "WF", "VT", "MD", "NJ")
+
+
+def prepare(
+    spark: SparkSession, *, sf: float, seed: int, workdir: str
+) -> tuple[DataFrame, Catalog]:
+    """Parquet triple store + catalog for a run, cached in ``workdir``
+    under names that carry both the scale factor and the seed."""
+    os.makedirs(workdir, exist_ok=True)
+    tag = f"sf{sf}_seed{seed}"
+    store = os.path.join(workdir, f"yago_{tag}")
+    triples = triple_store.materialize(spark, yago_lite(spark, sf=sf, seed=seed), store)
+    cat_path = os.path.join(workdir, f"catalog_{tag}.json")
+    if os.path.exists(cat_path):
+        catalog = Catalog.from_json(cat_path)
+    else:
+        catalog = build_catalog(triples)
+        catalog.to_json(cat_path)
+    return triples, catalog
 
 
 class Timeout(Exception):
@@ -141,9 +163,6 @@ def run_table1(
     ``triples_pdf`` (same triples as pandas) additionally enables the
     exact intermediate-tuple work profiles (DuckDB-computed).
     """
-    # Broadcast joins stay off (conftest) even under AQE so every engine
-    # exercises the shuffle path.
-    spark.conf.set("spark.sql.adaptive.autoBroadcastJoinThreshold", "-1")
     out: list[MeasuredRow] = []
     for row in rows:
         q = row.query

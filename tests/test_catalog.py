@@ -36,13 +36,6 @@ def test_onegram_counts(micro_catalog, p):
 def test_onegram_missing_predicate(micro_catalog):
     assert micro_catalog.count("nope") == 0
     assert micro_catalog.distinct("nope", "s") == 0
-    assert micro_catalog.avg_degree("nope", "s") == 0.0
-
-
-def test_avg_degree(micro_catalog):
-    # A: 4 triples, 3 distinct subjects, 3 distinct objects
-    assert micro_catalog.avg_degree("A", "s") == pytest.approx(4 / 3)
-    assert micro_catalog.avg_degree("A", "o") == pytest.approx(4 / 3)
 
 
 @pytest.mark.parametrize(
@@ -55,7 +48,7 @@ def test_twogram_vs_bruteforce(micro_catalog, p, pi, q, rho):
     joined = left.merge(right, on="v")
     expect_pairs = len(joined)
     expect_match = joined["v"].nunique()
-    assert micro_catalog.pair_count(p, pi, q, rho) == expect_pairs
+    assert micro_catalog.pairs.get((p, pi, q, rho), 0) == expect_pairs
     if expect_match:
         assert micro_catalog.match_count(p, pi, q, rho) == expect_match
     else:
@@ -68,8 +61,8 @@ def test_twogram_symmetry(micro_catalog):
             assert micro_catalog.match_count(p, pi, q, rho) == micro_catalog.match_count(
                 q, rho, p, pi
             )
-            assert micro_catalog.pair_count(p, pi, q, rho) == micro_catalog.pair_count(
-                q, rho, p, pi
+            assert micro_catalog.pairs.get((p, pi, q, rho), 0) == micro_catalog.pairs.get(
+                (q, rho, p, pi), 0
             )
 
 
@@ -106,7 +99,7 @@ def test_full_catalog_twogram_spotcheck(catalog, triples_pdf):
     lives = triples_pdf[triples_pdf["p"] == "livesIn"][["o"]].rename(columns={"o": "v"})
     loc = triples_pdf[triples_pdf["p"] == "isLocatedIn"][["s"]].rename(columns={"s": "v"})
     joined = lives.merge(loc, on="v")
-    assert catalog.pair_count("livesIn", "o", "isLocatedIn", "s") == len(joined)
+    assert catalog.pairs.get(("livesIn", "o", "isLocatedIn", "s"), 0) == len(joined)
     assert catalog.match_count("livesIn", "o", "isLocatedIn", "s") == joined["v"].nunique()
 
 

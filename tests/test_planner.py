@@ -69,12 +69,6 @@ def test_diamond_plans_cover_cycle(catalog, q):
     assert sorted(p.order) == [0, 1, 2, 3]
 
 
-def test_plan_labels_helper(catalog):
-    q = ALL_QUERIES[0]
-    p = plan(q, catalog)
-    assert p.labels == tuple(q.edges[i].label for i in p.order)
-
-
 def test_plan_cost_not_worse_than_textual_order(catalog):
     """DP must be at least as cheap as the naive textual order."""
     from repro.core.cardinality import Estimator

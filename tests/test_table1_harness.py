@@ -5,9 +5,12 @@ import threading
 import time
 
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import answer_graph, wireframe
 from repro.core.queries_table1 import PAPER_TABLE1
 from repro.experiments import table1 as t1
+from repro.rdf.yago_lite import yago_lite_pdf
 
 
 def test_run_with_timeout_returns_value(spark):
@@ -53,6 +56,30 @@ def test_timed_out_cell_launches_no_more_jobs(spark):
         stop.set()
 
 
+def test_timed_out_wf_cell_releases_checkpoints(spark, triples, catalog, monkeypatch):
+    """A WF cell cancelled mid-build by the timeout leaves no checkpoint."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    semi = answer_graph._semi
+    calls: list[int] = []
+    stalled = threading.Event()
+
+    def stalling_semi(df, rel, var):
+        calls.append(persistent().size() - before)
+        if len(calls) == 6:  # a job that outlives the budget, then is cancelled
+            stalled.set()
+            spark.range(1).rdd.map(lambda x: time.sleep(60) or x).count()
+        return semi(df, rel, var)
+
+    monkeypatch.setattr(answer_graph, "_semi", stalling_semi)
+    with pytest.raises(t1.Timeout):
+        t1.run_with_timeout(
+            spark, lambda: wireframe.count_embeddings(triples, PAPER_TABLE1[5].query, catalog), 5
+        )
+    assert stalled.is_set() and calls[-1] > 0
+    assert persistent().size() == before
+
+
 def test_time_cell_wf_returns_count(spark, triples, catalog, triples_pdf):
     import duckdb
 
@@ -81,7 +108,19 @@ def test_instrument_row(spark, triples, catalog):
     assert work.total >= work.peak > 0
 
 
+def test_prepare_keys_store_and_catalog_on_seed(spark, tmp_path):
+    """A second seed in the same workdir gets its own data, not the cache."""
+    for seed in (42, 7):
+        store, catalog = t1.prepare(spark, sf=0.01, seed=seed, workdir=str(tmp_path))
+        pdf = yago_lite_pdf(sf=0.01, seed=seed)
+        assert store.count() == len(pdf), seed
+        assert store.agg(F.sum("s")).first()[0] == pdf["s"].sum(), seed
+        assert catalog.n == pdf.groupby("p").size().to_dict(), seed
+        assert catalog.ds == pdf.groupby("p")["s"].nunique().to_dict(), seed
+
+
 def test_run_table1_smoke_and_markdown(spark, triples, catalog):
+    conf_before = spark.conf.getAll
     rows = t1.run_table1(
         spark,
         triples,
@@ -92,6 +131,7 @@ def test_run_table1_smoke_and_markdown(spark, triples, catalog):
         rounds=1,
         verbose=False,
     )
+    assert spark.conf.getAll == conf_before  # the caller's session is untouched
     assert len(rows) == 2
     for m in rows:
         assert m.counts["WF"] == m.counts["NJ"] == m.embeddings

@@ -6,7 +6,7 @@ import uuid
 import duckdb
 import pytest
 
-from repro.core import wireframe
+from repro.core import answer_graph, defactorize, wireframe
 from repro.core.answer_graph import build_answer_graph
 from repro.core.planner import plan
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
@@ -186,6 +186,44 @@ def test_runs_release_all_checkpoints(spark, triples, catalog, q, eb):
         r.unpersist()
     else:
         wireframe.count_embeddings(triples, q, catalog)
+    assert persistent().size() == before
+
+
+def test_phase2_error_releases_checkpoints(spark, triples, catalog, monkeypatch):
+    """An error after phase 1 leaves no checkpoint behind."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    made: list[int] = []
+
+    def boom(ag, order=None):
+        made.append(len(ag._persisted))
+        raise RuntimeError("phase 2 failed")
+
+    monkeypatch.setattr(defactorize, "embeddings", boom)
+    before = persistent().size()
+    with pytest.raises(RuntimeError, match="phase 2 failed"):
+        wireframe.count_embeddings(triples, SNOWFLAKES[0], catalog)
+    assert made and made[0] > 0
+    assert persistent().size() == before
+
+
+def test_mid_build_error_releases_checkpoints(spark, triples, catalog, monkeypatch):
+    """An error inside phase 1 (a failed or cancelled semijoin job) leaves no
+    checkpoint behind, including those the build made before it."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    semi = answer_graph._semi
+    calls: list[int] = []
+
+    def failing_semi(df, rel, var):
+        calls.append(persistent().size() - before)
+        if len(calls) == 6:
+            raise RuntimeError("semijoin failed")
+        return semi(df, rel, var)
+
+    monkeypatch.setattr(answer_graph, "_semi", failing_semi)
+    with pytest.raises(RuntimeError, match="semijoin failed"):
+        wireframe.count_embeddings(triples, DIAMONDS[0], catalog)
+    assert calls[-1] > 0  # checkpoints existed when the build failed
     assert persistent().size() == before
 
 
