@@ -21,6 +21,7 @@ burnback — differing only in join order/shape:
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from pyspark.sql import DataFrame
@@ -32,45 +33,39 @@ from repro.core.query import QueryGraph
 from repro.rdf import triple_store
 
 
-def _scans(triples: DataFrame, query: QueryGraph) -> list[DataFrame]:
-    return [
+# A join tree is an edge index or a pair of subtrees: the baselines differ
+# only in the tree they build, and one executor runs them all.
+JoinTree = int | tuple["JoinTree", "JoinTree"]
+
+
+def _build(scans: list[DataFrame], t: JoinTree) -> DataFrame:
+    if isinstance(t, int):
+        return scans[t]
+    dfa, dfb = _build(scans, t[0]), _build(scans, t[1])
+    shared = [c for c in dfb.columns if c in dfa.columns]
+    return dfa.join(dfb, on=shared, how="inner") if shared else dfa.crossJoin(dfb)
+
+
+def _execute(triples: DataFrame, query: QueryGraph, tree: JoinTree) -> DataFrame:
+    """Join the query edges' predicate scans along ``tree`` (a cross
+    product where two sides share no variable)."""
+    scans = [
         triple_store.scan(triples, e.label).select(
             F.col("s").alias(e.src), F.col("o").alias(e.dst)
         )
         for e in query.edges
     ]
+    return _build(scans, tree).select(*query.variables)
 
 
-def _join_left_deep(scans: list[DataFrame], query: QueryGraph, order: list[int]) -> DataFrame:
-    out: DataFrame | None = None
-    for i in order:
-        rel = scans[i]
-        if out is None:
-            out = rel
-            continue
-        shared = [c for c in rel.columns if c in out.columns]
-        out = out.join(rel, on=shared, how="inner") if shared else out.crossJoin(rel)
-    assert out is not None
-    return out.select(*query.variables)
+def _left_deep(order: list[int]) -> JoinTree:
+    """The left-deep tree ``(((e1, e2), e3), ...)`` of a join order."""
+    return functools.reduce(lambda t, i: (t, i), order[1:], order[0])
 
 
 def pg_order(query: QueryGraph, catalog: Catalog) -> list[int]:
     """Greedy left-deep order from 1-gram stats under independence."""
-    est = Estimator(catalog, query, twogram=False)
-    k = len(query.edges)
-    order: list[int] = []
-    s: frozenset[int] = frozenset()
-    while len(order) < k:
-        bound = {v for i in s for v in query.edges[i].vars()}
-        cands = [
-            j
-            for j in range(k)
-            if j not in s and (not s or set(query.edges[j].vars()) & bound)
-        ]
-        nxt = min(cands, key=lambda j: (est.extension_walks(s, j), j))
-        order.append(nxt)
-        s = s | {nxt}
-    return order
+    return query.greedy_order(Estimator(catalog, query, twogram=False).extension_walks)
 
 
 def pg_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
@@ -81,7 +76,7 @@ def pg_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame
     correlations, so (unlike WIREFRAME) it cannot see that e.g. the
     actors of hub movies rarely survive the created/hasDuration branch.
     """
-    return _join_left_deep(_scans(triples, query), query, pg_order(query, catalog))
+    return _execute(triples, query, _left_deep(pg_order(query, catalog)))
 
 
 def vt_order(query: QueryGraph, catalog: Catalog) -> list[int]:
@@ -91,18 +86,14 @@ def vt_order(query: QueryGraph, catalog: Catalog) -> list[int]:
 
 def vt_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
     """Textual-order left-deep direct join (Virtuoso stand-in)."""
-    return _join_left_deep(_scans(triples, query), query, vt_order(query, catalog))
+    return _execute(triples, query, _left_deep(vt_order(query, catalog)))
 
 
-# An MD merge tree is an edge index or a pair of subtrees.
-MdTree = int | tuple["MdTree", "MdTree"]
-
-
-def md_tree(query: QueryGraph, catalog: Catalog) -> MdTree:
+def md_tree(query: QueryGraph, catalog: Catalog) -> JoinTree:
     """Bushy merge tree: repeatedly pair the two smallest *connected*
     partials (by 1-gram scan count, merged estimate = the larger of the
     two — bulk column-at-a-time processing has no per-tuple pipeline)."""
-    parts: list[tuple[set[str], MdTree, float]] = [
+    parts: list[tuple[set[str], JoinTree, float]] = [
         (set(e.vars()), i, float(catalog.count(e.label)))
         for i, e in enumerate(query.edges)
     ]
@@ -115,7 +106,7 @@ def md_tree(query: QueryGraph, catalog: Catalog) -> MdTree:
                     size = max(parts[a][2], parts[b][2])
                     if size < best_size:
                         best_size, best = size, (a, b)
-        if best is None:  # disconnected query — rejected upstream
+        if best is None:  # disconnected query: a cross product
             best = (0, 1)
         a, b = best
         va, ta, _ = parts[a]
@@ -127,37 +118,18 @@ def md_tree(query: QueryGraph, catalog: Catalog) -> MdTree:
 
 def md_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
     """Bushy bulk direct join (MonetDB stand-in)."""
-    scans = _scans(triples, query)
-
-    def build(t: MdTree) -> DataFrame:
-        if isinstance(t, int):
-            return scans[t]
-        dfa, dfb = build(t[0]), build(t[1])
-        shared = [c for c in dfb.columns if c in dfa.columns]
-        return dfa.join(dfb, on=shared, how="inner") if shared else dfa.crossJoin(dfb)
-
-    return build(md_tree(query, catalog)).select(*query.variables)
+    return _execute(triples, query, md_tree(query, catalog))
 
 
 def nj_order(query: QueryGraph, catalog: Catalog) -> list[int]:
     """Exploration order: smallest scan first, then the smallest connected
     next scan (1-gram only, a traversal engine without join statistics)."""
-    k = len(query.edges)
-    order = [min(range(k), key=lambda j: (catalog.count(query.edges[j].label), j))]
-    bound = set(query.edges[order[0]].vars())
-    while len(order) < k:
-        cands = [
-            j for j in range(k) if j not in order and set(query.edges[j].vars()) & bound
-        ] or [j for j in range(k) if j not in order]
-        nxt = min(cands, key=lambda j: (catalog.count(query.edges[j].label), j))
-        order.append(nxt)
-        bound |= set(query.edges[nxt].vars())
-    return order
+    return query.greedy_order(lambda prefix, j: catalog.count(query.edges[j].label))
 
 
 def nj_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
     """Exploration-order direct join (Neo4J stand-in)."""
-    return _join_left_deep(_scans(triples, query), query, nj_order(query, catalog))
+    return _execute(triples, query, _left_deep(nj_order(query, catalog)))
 
 
 BASELINES: dict[str, Callable[[DataFrame, QueryGraph, Catalog], DataFrame]] = {

@@ -118,10 +118,13 @@ class AnswerGraph:
 
         ``DataFrame.unpersist()`` does not free a ``localCheckpoint``
         output: its blocks belong to the checkpointed RDD inside the
-        plan's ``LogicalRDD`` leaf, which is released directly.
+        plan's ``LogicalRDD`` leaf, which is released directly. The
+        SparkContext does so without ``RDD.unpersist``'s WARN line about
+        truncated lineage, one per checkpoint.
         """
         for df in self._persisted:
-            df._jdf.queryExecution().logical().rdd().unpersist(False)
+            rdd = df._jdf.queryExecution().logical().rdd()
+            rdd.context().unpersistRDD(rdd.id(), False)
         self._persisted.clear()
 
 
@@ -243,12 +246,7 @@ def _side_relation(ag: AnswerGraph, u: str, w: str) -> DataFrame | None:
     return None
 
 
-def edge_burnback(
-    ag: AnswerGraph,
-    tri: Triangulation,
-    *,
-    max_rounds: int = 10,
-) -> AnswerGraph:
+def edge_burnback(ag: AnswerGraph, tri: Triangulation) -> AnswerGraph:
     """Cull spurious edges from a cyclic CQ's AG, restoring the iAG.
 
     Chords are materialized as the intersection over their triangles of
@@ -300,8 +298,9 @@ def edge_burnback(
         sides[key] = ag.persist(rel)
         is_chord[key] = True
 
+    # Sides only ever shrink, so the counts settle and the loop ends.
     prev = _row_counts(list(sides.values()))
-    for _ in range(max_rounds):
+    while True:
         for a, b, c in tri.triangles:
             for u, w in ((a, b), (b, c), (a, c)):
                 (m,) = {a, b, c} - {u, w}

@@ -9,18 +9,16 @@ of 1-gram and 2-gram edge-label statistics computed offline. Here:
   ``(pi, rho)`` in ``{s,o}^2``:
   ``match(p,pi,q,rho)`` — distinct nodes occurring at position ``pi`` of a
   ``p``-triple *and* at position ``rho`` of a ``q``-triple (how many join
-  values exist), and
-  ``pairs(p,pi,q,rho) = sum_v deg_{p,pi}(v) * deg_{q,rho}(v)`` — the exact
-  size of the one-join ``p ⋈ q`` on those positions.
+  values exist).
 
 All of it comes from one Spark aggregation and one ``collect()``. A single
 degree table ``deg(p, pos, v, d)`` (size ≤ 2·#triples, unique per
 ``(p, pos, v)``) is self-joined on ``v`` and grouped by both sides'
-``(p, pos)``: each group's row count is ``match`` and its ``sum(d·d)`` is
-``pairs``. The 1-gram values are read off the diagonal ``(p, pos, p, pos)``,
-where the row count is ``ds(p)`` (``pos = s``) or ``do(p)`` (``pos = o``)
-and ``sum(d)`` at ``s`` is ``n(p)``. With ~100 predicates the catalog is a
-few thousand numbers on the driver.
+``(p, pos)``: each group's row count is ``match``. The 1-gram values are
+read off the diagonal ``(p, pos, p, pos)``, where the row count is
+``ds(p)`` (``pos = s``) or ``do(p)`` (``pos = o``) and ``sum(d)`` at ``s``
+is ``n(p)``. With ~100 predicates the catalog is a few thousand numbers on
+the driver.
 """
 from __future__ import annotations
 
@@ -42,7 +40,6 @@ class Catalog:
     ds: dict[str, int]
     do: dict[str, int]
     match: dict[TwoGramKey, int] = field(default_factory=dict)
-    pairs: dict[TwoGramKey, int] = field(default_factory=dict)
 
     # -- lookups ---------------------------------------------------------
     def count(self, p: str) -> int:
@@ -70,20 +67,18 @@ class Catalog:
             "ds": self.ds,
             "do": self.do,
             "match": {"|".join(k): v for k, v in self.match.items()},
-            "pairs": {"|".join(k): v for k, v in self.pairs.items()},
         }
         with open(path, "w") as f:
             json.dump(blob, f)
 
     @classmethod
     def from_json(cls, path: str) -> "Catalog":
+        """Load a catalog written by :meth:`to_json` (keys it does not
+        know, such as an older file's ``pairs``, are ignored)."""
         with open(path) as f:
             blob = json.load(f)
-
-        def unkey(d: dict[str, int]) -> dict[TwoGramKey, int]:
-            return {tuple(k.split("|")): v for k, v in d.items()}  # type: ignore[misc]
-
-        return cls(blob["n"], blob["ds"], blob["do"], unkey(blob["match"]), unkey(blob["pairs"]))
+        match = {tuple(k.split("|")): v for k, v in blob["match"].items()}
+        return cls(blob["n"], blob["ds"], blob["do"], match)  # type: ignore[arg-type]
 
 
 def build_catalog(triples: DataFrame) -> Catalog:
@@ -103,8 +98,10 @@ def build_catalog(triples: DataFrame) -> Catalog:
         )
         .agg(
             F.count("*").alias("m"),
-            F.sum(F.col("a.d") * F.col("b.d")).alias("j"),
-            F.sum("a.d").alias("n"),
+            # 2·n(p) on the (p, s, p, s) diagonal, where a and b are the same
+            # row. Summing one side's d only would prune d from the other
+            # side, and the two sides would no longer share one exchange.
+            F.sum(F.col("a.d") + F.col("b.d")).alias("n2"),
         )
         .collect()
     )
@@ -112,13 +109,11 @@ def build_catalog(triples: DataFrame) -> Catalog:
     ds: dict[str, int] = {}
     do: dict[str, int] = {}
     match: dict[TwoGramKey, int] = {}
-    pairs: dict[TwoGramKey, int] = {}
     for r in rows:
         p, pi, q, rho = key = (r["p1"], r["pi"], r["p2"], r["rho"])
         match[key] = r["m"]
-        pairs[key] = int(r["j"])
         if (p, pi) == (q, rho):  # the diagonal carries the 1-gram counts
             (ds if pi == "s" else do)[p] = r["m"]
             if pi == "s":
-                n[p] = int(r["n"])
-    return Catalog(n, ds, do, match, pairs)
+                n[p] = int(r["n2"]) // 2
+    return Catalog(n, ds, do, match)

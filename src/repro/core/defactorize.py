@@ -20,20 +20,7 @@ from repro.core.answer_graph import AnswerGraph
 def greedy_order(ag: AnswerGraph, sizes: dict[int, int] | None = None) -> list[int]:
     """Greedy connected join order over AG edges, smallest-relation first."""
     sizes = sizes if sizes is not None else ag.edge_counts()
-    remaining = set(ag.edges)
-    order: list[int] = []
-    bound: set[str] = set()
-    while remaining:
-        candidates = [
-            i for i in remaining if not order or (set(ag.query.edges[i].vars()) & bound)
-        ]
-        if not candidates:  # disconnected query (rejected upstream)
-            candidates = list(remaining)
-        nxt = min(candidates, key=lambda i: (sizes[i], i))
-        order.append(nxt)
-        bound |= set(ag.query.edges[nxt].vars())
-        remaining.remove(nxt)
-    return order
+    return ag.query.greedy_order(lambda prefix, i: sizes[i])
 
 
 def embeddings(ag: AnswerGraph, order: list[int] | None = None) -> DataFrame:

@@ -9,9 +9,9 @@ is the total number of estimated **edge walks** (see
 exactly and the DP is optimal for the cost model — verified against
 brute-force enumeration in the tests.
 
-Only *connected* orders are considered (every appended edge shares a
-variable with the AG so far, mirroring the paper's edge-extension step);
-disconnected CQs are rejected.
+Only *connected* orders are considered (:meth:`QueryGraph.extends`: every
+appended edge shares a variable with the AG so far, the paper's
+edge-extension step); disconnected CQs are rejected.
 """
 from __future__ import annotations
 
@@ -49,9 +49,8 @@ def plan(query: QueryGraph, catalog: Catalog) -> Plan:
         nxt: dict[frozenset[int], tuple[float, int, frozenset[int]]] = {}
         for s in frontier:
             cost_s = best[s][0]
-            bound = {v for i in s for v in query.edges[i].vars()}
             for j in range(k):
-                if j in s or not (set(query.edges[j].vars()) & bound):
+                if j in s or not query.extends(s, j):
                     continue
                 s2 = s | {j}
                 c2 = cost_s + est.extension_walks(s, j)
@@ -87,11 +86,8 @@ def brute_force_plan(query: QueryGraph, catalog: Catalog) -> Plan:
         if len(order) == k:
             best_cost, best_order = cost, order
             return
-        bound = {v for i in s for v in query.edges[i].vars()}
         for j in range(k):
-            if j in s:
-                continue
-            if s and not (set(query.edges[j].vars()) & bound):
+            if j in s or not query.extends(s, j):
                 continue
             rec(s | {j}, order + (j,), cost + est.extension_walks(s, j))
 

@@ -6,13 +6,16 @@ tuple of data-graph node ids, one per variable, such that every query
 edge maps to a data edge with the same label.
 
 This module provides the query-graph data structure, shape predicates
-(connected / tree / cycle extraction), and a translation of a CQ to the
+(connected / tree / cycle extraction), the connected-order rule that
+every edge order in the system follows, and a translation of a CQ to the
 equivalent self-join SQL over a ``(s, p, o)`` triple table — used both by
 the DuckDB correctness oracle and by tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection
+from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,43 @@ class QueryGraph:
                 return found
         return None
 
+    # -- connected orders -------------------------------------------------
+    @cached_property
+    def _touching(self) -> tuple[frozenset[int], ...]:
+        """Per edge, the indices of the edges that share a variable with it."""
+        return tuple(
+            frozenset(i for i, f in enumerate(self.edges) if set(e.vars()) & set(f.vars()))
+            for e in self.edges
+        )
+
+    def extends(self, prefix: Collection[int], j: int) -> bool:
+        """May edge ``j`` follow the edges ``prefix`` in a connected
+        left-deep order? Only if it shares a variable with one of them
+        (the paper's edge extension); the first edge may be any."""
+        return not prefix or not self._touching[j].isdisjoint(prefix)
+
+    def greedy_order(self, key: Callable[[frozenset[int], int], float]) -> list[int]:
+        """Greedy connected order: append the edge ``j`` with the least
+        ``key(prefix, j)`` at each step, ties to the lower index. An edge
+        that shares no variable with the prefix is taken only when no
+        other edge does (the next component of a disconnected CQ)."""
+        prefix: frozenset[int] = frozenset()
+        order: list[int] = []
+        while len(order) < len(self.edges):
+            rest = [j for j in range(len(self.edges)) if j not in prefix]
+            nxt = min(
+                [j for j in rest if self.extends(prefix, j)] or rest,
+                key=lambda j: (key(prefix, j), j),
+            )
+            order.append(nxt)
+            prefix |= {nxt}
+        return order
+
     def is_connected_order(self, order: list[int]) -> bool:
         """Is ``order`` (edge indices) a connected left-deep sequence?"""
-        if sorted(order) != list(range(len(self.edges))):
-            return False
-        bound: set[str] = set()
-        for i in order:
-            e = self.edges[i]
-            if bound and not (set(e.vars()) & bound):
-                return False
-            bound |= set(e.vars())
-        return True
+        return sorted(order) == list(range(len(self.edges))) and all(
+            self.extends(order[:n], j) for n, j in enumerate(order)
+        )
 
     # -- translation -----------------------------------------------------
     def to_sql(self, table: str = "triples") -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import duckdb
 import pandas as pd
 
-from repro.baselines.direct_join import MdTree, md_tree, nj_order, pg_order, vt_order
+from repro.baselines.direct_join import JoinTree, md_tree, nj_order, pg_order, vt_order
 from repro.core.catalog import Catalog
 from repro.core.query import QueryGraph
 
@@ -57,15 +57,15 @@ def leftdeep_work(
     return Work(total=sum(sizes), peak=max(sizes))
 
 
-def bushy_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: MdTree) -> Work:
+def bushy_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: JoinTree) -> Work:
     """Intermediate sizes of a bushy join tree: every internal node but the root."""
     con = duckdb.connect()
     sizes: list[int] = []
 
-    def leaves(t: MdTree) -> list[int]:
+    def leaves(t: JoinTree) -> list[int]:
         return [t] if isinstance(t, int) else leaves(t[0]) + leaves(t[1])
 
-    def walk(t: MdTree, is_root: bool) -> None:
+    def walk(t: JoinTree, is_root: bool) -> None:
         if isinstance(t, int):
             sizes.append(_count_subquery(con, query, [t]))
             return

@@ -37,11 +37,6 @@ def scan(triples: DataFrame, predicate: str) -> DataFrame:
     return triples.where(F.col("p") == F.lit(predicate)).select("s", "o")
 
 
-def predicates(triples: DataFrame) -> list[str]:
-    """Distinct predicate labels, sorted."""
-    return sorted(r["p"] for r in triples.select("p").distinct().collect())
-
-
 def materialize(spark: SparkSession, triples: DataFrame, path: str) -> DataFrame:
     """Write-then-read helper: returns the Parquet-backed view of ``triples``.
 

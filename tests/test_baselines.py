@@ -6,9 +6,17 @@ import pytest
 
 from repro.baselines import BASELINES
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
+from repro.core.query import cq
 from repro.oracle import assert_equivalent
 
-SMALL = [q for q in ALL_QUERIES if q.name in ("S1", "S5", "D6", "D7", "D8", "D9", "D10")]
+# Two components (4,000 embeddings at SF=0.01): every baseline returns
+# their cross product.
+DISCONNECTED = cq(
+    "disconnected", ("a", "exports", "b"), ("c", "hasDuration", "d"), ("e", "isLocatedIn", "a")
+)
+SMALL = [q for q in ALL_QUERIES if q.name in ("S1", "S5", "D6", "D7", "D8", "D9", "D10")] + [
+    DISCONNECTED
+]
 BIG = [q for q in ALL_QUERIES if q.name in ("S2", "S3", "S4")]
 
 

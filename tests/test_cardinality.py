@@ -15,14 +15,13 @@ def uniform_catalog() -> Catalog:
     n = {p: 100 for p in preds}
     ds = {p: 50 for p in preds}
     do = {p: 50 for p in preds}
-    match, pairs = {}, {}
+    match = {}
     for p in preds:
         for q in preds:
             for pi in "so":
                 for rho in "so":
                     match[(p, pi, q, rho)] = 50
-                    pairs[(p, pi, q, rho)] = 200
-    return Catalog(n, ds, do, match, pairs)
+    return Catalog(n, ds, do, match)
 
 
 CHAIN = cq("chain", ("w", "A", "x"), ("x", "B", "y"), ("y", "C", "z"))

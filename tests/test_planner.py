@@ -14,7 +14,7 @@ def skewed_catalog() -> Catalog:
     n = {"A": 10_000, "B": 5_000, "C": 10}
     ds = {"A": 3_000, "B": 2_000, "C": 10}
     do = {"A": 2_000, "B": 1_500, "C": 10}
-    match, pairs = {}, {}
+    match = {}
     for p in n:
         for q in n:
             for pi in "so":
@@ -22,8 +22,7 @@ def skewed_catalog() -> Catalog:
                     match[(p, pi, q, rho)] = min(
                         (ds if pi == "s" else do)[p], (ds if rho == "s" else do)[q]
                     )
-                    pairs[(p, pi, q, rho)] = n[p] * n[q] // 1000 + 1
-    return Catalog(n, ds, do, match, pairs)
+    return Catalog(n, ds, do, match)
 
 
 CHAIN = cq("chain", ("w", "A", "x"), ("x", "B", "y"), ("y", "C", "z"))

@@ -20,15 +20,14 @@ def catalogs(draw) -> Catalog:
     n = {p: draw(st.integers(1, 10_000)) for p in PREDS}
     ds = {p: draw(st.integers(1, n[p])) for p in PREDS}
     do = {p: draw(st.integers(1, n[p])) for p in PREDS}
-    match, pairs = {}, {}
+    match = {}
     for p in PREDS:
         for q in PREDS:
             for pi in "so":
                 for rho in "so":
                     cap = min((ds if pi == "s" else do)[p], (ds if rho == "s" else do)[q])
                     match[(p, pi, q, rho)] = draw(st.integers(0, cap))
-                    pairs[(p, pi, q, rho)] = draw(st.integers(0, n[p] * n[q]))
-    return Catalog(n, ds, do, match, pairs)
+    return Catalog(n, ds, do, match)
 
 
 @st.composite

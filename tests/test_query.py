@@ -102,6 +102,15 @@ def test_is_connected_order():
     assert not CHAIN.is_connected_order([0, 1, 1])
 
 
+def test_greedy_order_prefers_connected_edges():
+    # Edge 2 (y-C-z) has the least key but joins nothing until B is in.
+    assert CHAIN.greedy_order(lambda prefix, j: -j if prefix else j) == [0, 1, 2]
+    assert CHAIN.greedy_order(lambda prefix, j: 0) == [0, 1, 2]  # ties: lower index
+    # Two components: the second starts only once the first is exhausted.
+    two = cq("two", ("a", "A", "b"), ("c", "B", "d"), ("b", "C", "e"))
+    assert two.greedy_order(lambda prefix, j: j) == [0, 2, 1]
+
+
 def test_labels_match_paper_rows():
     """Rows 1-8 use exactly the paper's per-row label multisets."""
     expected = {

@@ -44,11 +44,6 @@ def test_scan_plan_prunes_partitions(spark, store_path):
     assert "PartitionFilters" in plan or "p=A" in plan
 
 
-def test_predicates_listing(spark, store_path):
-    triple_store.write(micro_triples(spark, ROWS), store_path)
-    assert triple_store.predicates(triple_store.read(spark, store_path)) == ["A", "B", "C"]
-
-
 def test_materialize_idempotent(spark, store_path):
     df = micro_triples(spark, ROWS)
     a = triple_store.materialize(spark, df, store_path)
