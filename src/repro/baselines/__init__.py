@@ -9,12 +9,6 @@ defining planning behaviour while sharing the Spark executor (DESIGN.md
 §2). What the substitution keeps intact is exactly the paper's
 contrast: factorized (WF) vs direct embedding materialization.
 """
-from repro.baselines.direct_join import (
-    BASELINES,
-    md_sim,
-    nj_sim,
-    pg_sim,
-    vt_sim,
-)
+from repro.baselines.direct_join import BASELINES
 
-__all__ = ["BASELINES", "pg_sim", "vt_sim", "md_sim", "nj_sim"]
+__all__ = ["BASELINES"]

@@ -2,22 +2,27 @@
 
 Every baseline turns each query edge into a predicate scan and joins the
 scans into the full embedding relation — no semijoin reduction, no
-burnback — differing only in join order/shape:
+burnback — differing only in the join tree that :data:`JOIN_TREES` builds
+for each system:
 
-* ``pg_sim``  (PostgreSQL): cost-based greedy **left-deep** order from
+* ``PG`` (PostgreSQL): cost-based greedy **left-deep** order from
   1-gram statistics under independence assumptions (PG has a real
   cost-based optimizer but keeps no cross-predicate correlation stats —
   WIREFRAME's 2-gram catalog is exactly the extra information the paper's
   planner exploits).
-* ``vt_sim``  (Virtuoso): left-deep in **textual** pattern order
+* ``VT`` (Virtuoso): left-deep in **textual** pattern order
   (Virtuoso's default SPARQL evaluation follows the written order far
   more than PG does).
-* ``md_sim``  (MonetDB): **bushy** bulk plan — repeatedly join the two
+* ``MD`` (MonetDB): **bushy** bulk plan — repeatedly join the two
   smallest connected partial results, column-store style.
-* ``nj_sim``  (Neo4J): graph-exploration order — start at the edge with
+* ``NJ`` (Neo4J): graph-exploration order — start at the edge with
   the smallest predicate scan and expand one *connected* edge at a time
   choosing the smallest next scan (1-gram only, like a traversal engine
   without join statistics).
+
+:data:`BASELINES` runs each system's tree on Spark, and
+:func:`repro.experiments.workcount.baseline_work` counts the tuples the
+same tree materializes.
 """
 from __future__ import annotations
 
@@ -64,29 +69,18 @@ def _left_deep(order: list[int]) -> JoinTree:
 
 
 def pg_order(query: QueryGraph, catalog: Catalog) -> list[int]:
-    """Greedy left-deep order from 1-gram stats under independence."""
-    return query.greedy_order(Estimator(catalog, query, twogram=False).extension_walks)
+    """Greedy left-deep order from 1-gram stats under independence.
 
-
-def pg_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
-    """Cost-based greedy left-deep direct join (PostgreSQL stand-in).
-
-    Plans with 1-gram statistics under independence assumptions —
     PostgreSQL keeps per-relation stats but no cross-predicate join
     correlations, so (unlike WIREFRAME) it cannot see that e.g. the
     actors of hub movies rarely survive the created/hasDuration branch.
     """
-    return _execute(triples, query, _left_deep(pg_order(query, catalog)))
+    return query.greedy_order(Estimator(catalog, query, twogram=False).extension_walks)
 
 
 def vt_order(query: QueryGraph, catalog: Catalog) -> list[int]:
     """Textual pattern order (Virtuoso's written-order evaluation)."""
     return list(range(len(query.edges)))
-
-
-def vt_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
-    """Textual-order left-deep direct join (Virtuoso stand-in)."""
-    return _execute(triples, query, _left_deep(vt_order(query, catalog)))
 
 
 def md_tree(query: QueryGraph, catalog: Catalog) -> JoinTree:
@@ -116,25 +110,22 @@ def md_tree(query: QueryGraph, catalog: Catalog) -> JoinTree:
     return parts[0][1]
 
 
-def md_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
-    """Bushy bulk direct join (MonetDB stand-in)."""
-    return _execute(triples, query, md_tree(query, catalog))
-
-
 def nj_order(query: QueryGraph, catalog: Catalog) -> list[int]:
     """Exploration order: smallest scan first, then the smallest connected
     next scan (1-gram only, a traversal engine without join statistics)."""
     return query.greedy_order(lambda prefix, j: catalog.count(query.edges[j].label))
 
 
-def nj_sim(triples: DataFrame, query: QueryGraph, catalog: Catalog) -> DataFrame:
-    """Exploration-order direct join (Neo4J stand-in)."""
-    return _execute(triples, query, _left_deep(nj_order(query, catalog)))
-
+JOIN_TREES: dict[str, Callable[[QueryGraph, Catalog], JoinTree]] = {
+    "PG": lambda q, c: _left_deep(pg_order(q, c)),
+    "VT": lambda q, c: _left_deep(vt_order(q, c)),
+    "MD": md_tree,
+    "NJ": lambda q, c: _left_deep(nj_order(q, c)),
+}
+"""Each baseline system's join tree: the one place a system picks its plan."""
 
 BASELINES: dict[str, Callable[[DataFrame, QueryGraph, Catalog], DataFrame]] = {
-    "PG": pg_sim,
-    "VT": vt_sim,
-    "MD": md_sim,
-    "NJ": nj_sim,
+    s: lambda triples, q, c, tree=tree: _execute(triples, q, tree(q, c))
+    for s, tree in JOIN_TREES.items()
 }
+"""Direct-join evaluators: each system's join tree run on the triple store."""

@@ -278,8 +278,12 @@ def edge_burnback(ag: AnswerGraph, tri: Triangulation) -> AnswerGraph:
             if rel is not None:
                 sides[key] = rel
                 is_chord[key] = False
-    # chords: intersection of the join-projections across their triangles
-    for u, w in tri.chords:
+    # chords: intersection of the join-projections across their triangles.
+    # By increasing polygon span, so that a chord's inner triangle already
+    # has both of its other sides (sides or shorter chords); an outer
+    # triangle that rests on a longer chord is applied by the loop below.
+    pos = {v: i for i, v in enumerate(tri.cycle)}
+    for u, w in sorted(tri.chords, key=lambda c: abs(pos[c[0]] - pos[c[1]])):
         key = pair_key(u, w)
         parts = []
         for a, b, c in tri.triangles:

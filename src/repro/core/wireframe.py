@@ -3,8 +3,9 @@
 Ties the pieces together exactly as the paper's Figure 3 describes:
 
 1. **Edgifier** plans a left-deep query-edge order from the catalog
-   (:mod:`repro.core.planner`); cyclic queries additionally get a
-   **Triangulator** chordification (:mod:`repro.core.triangulate`).
+   (:mod:`repro.core.planner`); a cyclic query evaluated with edge
+   burnback additionally gets a **Triangulator** chordification
+   (:mod:`repro.core.triangulate`).
 2. **Answer-graph generation** reduces the plan's edge relations with
    edge extension and cascading node burnback, one bottom-up and one
    top-down semijoin pass over the plan's spanning tree
@@ -33,7 +34,7 @@ class WireframeRun:
 
     query: QueryGraph
     plan: Plan
-    triangulation: Triangulation | None
+    triangulation: Triangulation | None  # set only under edge burnback
     ag: agmod.AnswerGraph
     embedding_df: DataFrame
     # instrumentation (filled only when requested)
@@ -65,7 +66,7 @@ def run(
     propagates.
     """
     p = plan(query, catalog)
-    tri = triangulate_query(query, catalog)
+    tri = triangulate_query(query, catalog) if use_edge_burnback else None
     if use_edge_burnback and tri is None:
         raise ValueError("edge burnback only applies to cyclic queries")
     # The build releases its own checkpoints if it raises.

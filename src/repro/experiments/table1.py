@@ -247,7 +247,8 @@ def format_work_markdown(rows: list[MeasuredRow]) -> str:
     lines.append("")
     lines.append(
         "Work = tuples materialized before the final result: every "
-        "intermediate join result for the direct baselines (exact, DuckDB); "
+        "predicate scan and intermediate join result of the join tree for "
+        "the direct baselines (exact, DuckDB); "
         "retrieved edge walks + reduced AG relations for WIREFRAME."
     )
     return "\n".join(lines)

@@ -5,9 +5,11 @@ the paper measures across four heterogeneous disk/row/graph engines, so
 EXPERIMENTS.md additionally reports the *work* each strategy performs —
 the paper's own unit, scheduler-independent:
 
-* a direct-join baseline materializes every intermediate join result:
-  its work = the sum (and max) of all intermediate result cardinalities
-  along its join order/tree (computed exactly with DuckDB);
+* a direct-join baseline reads every predicate scan of its join tree in
+  full and materializes every intermediate join result: its work = the
+  sum (and max) over every node of the tree but the root (computed
+  exactly with DuckDB), with the same tree the executor runs
+  (:data:`repro.baselines.direct_join.JOIN_TREES`);
 * WIREFRAME materializes the answer-graph edge relations and then only
   the final embeddings: its work = the edges retrieved by plan-order
   edge extension (the paper's edge walks) plus the reduced AG edges.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import duckdb
 import pandas as pd
 
-from repro.baselines.direct_join import JoinTree, md_tree, nj_order, pg_order, vt_order
+from repro.baselines.direct_join import JOIN_TREES, JoinTree
 from repro.core.catalog import Catalog
 from repro.core.query import QueryGraph
 
@@ -41,60 +43,32 @@ def _count_subquery(
     return con.execute(f"SELECT COUNT(*) FROM ({sub.to_sql()})").fetchone()[0]
 
 
-def leftdeep_work(
-    triples_pdf: pd.DataFrame, query: QueryGraph, order: list[int]
-) -> Work:
-    """Intermediate sizes of a left-deep join: prefixes 1..k-1 of the order."""
-    con = duckdb.connect()
-    try:
-        con.register("triples", triples_pdf)
-        sizes = [
-            _count_subquery(con, query, list(order[:k]))
-            for k in range(1, len(order))
-        ]
-    finally:
-        con.close()
-    return Work(total=sum(sizes), peak=max(sizes))
+def tree_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: JoinTree) -> Work:
+    """Sizes of every node of a join tree but the root: each leaf is a
+    predicate scan read in full, each internal node an intermediate result."""
 
-
-def bushy_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: JoinTree) -> Work:
-    """Intermediate sizes of a bushy join tree: every internal node but the root."""
-    con = duckdb.connect()
-    sizes: list[int] = []
-
-    def leaves(t: JoinTree) -> list[int]:
-        return [t] if isinstance(t, int) else leaves(t[0]) + leaves(t[1])
-
-    def walk(t: JoinTree, is_root: bool) -> None:
+    def node_edges(t: JoinTree) -> list[list[int]]:  # post-order, root last
         if isinstance(t, int):
-            sizes.append(_count_subquery(con, query, [t]))
-            return
-        walk(t[0], False)
-        walk(t[1], False)
-        if not is_root:
-            sizes.append(_count_subquery(con, query, leaves(t)))
+            return [[t]]
+        a, b = node_edges(t[0]), node_edges(t[1])
+        return a + b + [a[-1] + b[-1]]
 
+    con = duckdb.connect()
     try:
         con.register("triples", triples_pdf)
-        walk(tree, True)
+        sizes = [_count_subquery(con, query, e) for e in node_edges(tree)[:-1]]
     finally:
         con.close()
-    return Work(total=sum(sizes), peak=max(sizes))
+    return Work(total=sum(sizes), peak=max(sizes, default=0))
 
 
 def baseline_work(
     triples_pdf: pd.DataFrame, query: QueryGraph, catalog: Catalog, system: str
 ) -> Work:
-    """Work profile of one baseline simulator (PG/VT/MD/NJ)."""
-    if system == "PG":
-        return leftdeep_work(triples_pdf, query, pg_order(query, catalog))
-    if system == "VT":
-        return leftdeep_work(triples_pdf, query, vt_order(query, catalog))
-    if system == "NJ":
-        return leftdeep_work(triples_pdf, query, nj_order(query, catalog))
-    if system == "MD":
-        return bushy_work(triples_pdf, query, md_tree(query, catalog))
-    raise ValueError(f"unknown baseline {system!r}")
+    """Work profile of one baseline's join tree (PG/VT/MD/NJ)."""
+    if system not in JOIN_TREES:
+        raise ValueError(f"unknown baseline {system!r}")
+    return tree_work(triples_pdf, query, JOIN_TREES[system](query, catalog))
 
 
 def wireframe_work(ag_edge_counts: dict[int, int], extension_walks: dict[int, int]) -> Work:

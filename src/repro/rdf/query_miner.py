@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.direct_join import pg_sim
+from repro.baselines.direct_join import BASELINES
 from repro.core.catalog import Catalog
 from repro.core.query import QueryEdge, QueryGraph
 
@@ -103,7 +103,7 @@ def mine(
     for q in candidate_queries(
         catalog, template, limit=candidate_limit, name_prefix=name_prefix
     ):
-        if pg_sim(triples, q, catalog).limit(1).count() > 0:
+        if BASELINES["PG"](triples, q, catalog).limit(1).count() > 0:
             out.append(q)
             if len(out) >= limit:
                 break

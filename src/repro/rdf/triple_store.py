@@ -40,8 +40,8 @@ def scan(triples: DataFrame, predicate: str) -> DataFrame:
 def materialize(spark: SparkSession, triples: DataFrame, path: str) -> DataFrame:
     """Write-then-read helper: returns the Parquet-backed view of ``triples``.
 
-    Idempotent on ``path``; used by jobs and the benchmark session setup so
-    all engines scan identical on-disk data.
+    Idempotent on ``path``; :func:`repro.experiments.table1.prepare` uses it
+    so that every engine scans identical on-disk data.
     """
     if not os.path.exists(os.path.join(path, "_SUCCESS")):
         write(triples, path)

@@ -13,7 +13,7 @@ from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.catalog import build_catalog
 from repro.core.defactorize import embeddings
 from repro.core.query import cq
-from repro.core.triangulate import triangulate_query
+from repro.core.triangulate import triangulate, triangulate_query
 from tests.conftest import micro_triples
 
 CHAIN = cq("chain", ("w", "A", "x"), ("x", "B", "y"), ("y", "C", "z"))
@@ -178,6 +178,35 @@ def test_edge_burnback_restores_ideal(spark, dia_data):
     assert _edge_rows(ag, 0) == [(1, 10), (2, 11)]
     assert embeddings(ag).count() == 2
     ag.unpersist()
+
+
+# Hexagon a-b-c-d-e-f: two clean embeddings (1..6 and 11..16) plus edge
+# (1,A,12), which node burnback keeps and edge burnback removes.
+HEX = cq("hex", ("a", "A", "b"), ("b", "B", "c"), ("c", "C", "d"),
+         ("d", "D", "e"), ("e", "E", "f"), ("f", "F", "a"))
+HEX_ROWS = [
+    (base + i, label, base + (i + 1) % 6)
+    for base in (1, 11)
+    for i, label in enumerate("ABCDEF")
+] + [(1, "A", 12)]
+
+
+def test_edge_burnback_on_hexagon_with_middle_diagonal_first(spark):
+    """A triangulation may list a chord before the shorter chords its
+    triangles rest on: here (a,d) comes before (a,c) and (d,f)."""
+    cheap = {("a", "d"), ("a", "c"), ("d", "f")}
+    tri = triangulate(list("abcdef"), lambda u, w: 1.0 if (u, w) in cheap else 100.0)
+    assert tri.chords == (("a", "d"), ("a", "c"), ("d", "f"))
+    df = micro_triples(spark, HEX_ROWS)
+    ag = build_answer_graph(df, HEX)
+    try:
+        assert ag.edge_counts()[0] == 3  # the spurious edge survives node burnback
+        ag = edge_burnback(ag, tri)
+        assert ag.edge_counts() == {i: 2 for i in range(6)}
+        assert _edge_rows(ag, 0) == [(1, 2), (11, 12)]
+        assert embeddings(ag).count() == 2
+    finally:
+        ag.unpersist()
 
 
 def test_edge_burnback_requires_cycle(spark, fig1):

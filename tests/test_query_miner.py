@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.direct_join import pg_sim
+from repro.baselines.direct_join import BASELINES
 from repro.core.query import QueryGraph
 from repro.rdf.query_miner import (
     DIAMOND_TEMPLATE,
@@ -49,7 +49,7 @@ def test_mined_diamonds_nonempty(triples, catalog):
     mined = mine(triples, catalog, DIAMOND_TEMPLATE, limit=2, candidate_limit=40)
     assert 1 <= len(mined) <= 2
     for q in mined:
-        assert pg_sim(triples, q, catalog).limit(1).count() == 1
+        assert BASELINES["PG"](triples, q, catalog).limit(1).count() == 1
 
 
 def test_mined_names_prefixed(triples, catalog):

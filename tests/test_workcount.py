@@ -4,16 +4,10 @@ from __future__ import annotations
 import pandas as pd
 import pytest
 
-from repro.baselines.direct_join import md_tree, nj_order, pg_order, vt_order
+from repro.baselines.direct_join import JOIN_TREES, md_tree, nj_order, pg_order, vt_order
 from repro.core.query import cq
 from repro.core.queries_table1 import ALL_QUERIES
-from repro.experiments.workcount import (
-    Work,
-    baseline_work,
-    bushy_work,
-    leftdeep_work,
-    wireframe_work,
-)
+from repro.experiments.workcount import Work, baseline_work, tree_work, wireframe_work
 
 CHAIN = cq("chain", ("w", "A", "x"), ("x", "B", "y"), ("y", "C", "z"))
 MICRO = pd.DataFrame(
@@ -24,24 +18,26 @@ MICRO = pd.DataFrame(
     ],
     columns=["s", "p", "o"],
 )
-# prefix sizes textual order: |A|=3, |A⋈B|=3, final |A⋈B⋈C| excluded
+# |A|=3, |B|=2, |C|=2; |A⋈B|=3, |B⋈C|=2 (only y=20 has C edges)
 
 
-def test_leftdeep_work_textual():
-    w = leftdeep_work(MICRO, CHAIN, [0, 1, 2])
-    assert w == Work(total=3 + 3, peak=3)
+@pytest.mark.parametrize(
+    "tree, expect",
+    [
+        (((0, 1), 2), Work(total=3 + 2 + 2 + 3, peak=3)),
+        (((2, 1), 0), Work(total=2 + 2 + 3 + 2, peak=3)),
+        ((0, (1, 2)), Work(total=3 + 2 + 2 + 2, peak=3)),
+    ],
+    ids=["textual", "reverse", "bushy"],
+)
+def test_tree_work_counts_every_node_but_the_root(tree, expect):
+    assert tree_work(MICRO, CHAIN, tree) == expect
 
 
-def test_leftdeep_work_reverse():
-    # |C|=2, |C⋈B|=2 (only y=20 has C edges)
-    w = leftdeep_work(MICRO, CHAIN, [2, 1, 0])
-    assert w == Work(total=2 + 2, peak=2)
-
-
-def test_bushy_work_counts_internal_nodes():
-    # tree ((A,B),C): leaves |A|=3,|B|=2,|C|=2 then internal |A⋈B|=3
-    w = bushy_work(MICRO, CHAIN, ((0, 1), 2))
-    assert w == Work(total=3 + 2 + 2 + 3, peak=3)
+def test_baseline_work_reads_the_executed_tree(catalog):
+    """VT's left-deep tree counts its scans like any other tree."""
+    assert JOIN_TREES["VT"](CHAIN, catalog) == ((0, 1), 2)
+    assert baseline_work(MICRO, CHAIN, catalog, "VT") == Work(total=10, peak=3)
 
 
 def test_wireframe_work_arithmetic():
@@ -71,5 +67,8 @@ def test_md_tree_covers_all_edges(catalog, q):
 
 @pytest.mark.parametrize("system", ["PG", "VT", "MD", "NJ"])
 def test_baseline_work_on_real_data(triples_pdf, catalog, system):
-    w = baseline_work(triples_pdf, ALL_QUERIES[5], catalog, system)  # D6, cheap
+    q = ALL_QUERIES[5]  # D6, cheap
+    w = baseline_work(triples_pdf, q, catalog, system)
     assert w.total >= w.peak > 0
+    assert w == tree_work(triples_pdf, q, JOIN_TREES[system](q, catalog))
+
