@@ -26,16 +26,21 @@ on its node set, the node-burnback fixpoint the paper reports — possibly
 with spurious edges (its Fig. 4), never without an embedding's edge.
 Every rewritten relation is ``localCheckpoint``-ed once.
 
-``edge_burnback`` implements the paper's §4 edge-burnback mechanism over
-a triangulated cycle: chords are maintained as intersections of the
-join-projections of their triangles' opposite sides, and every side is
-semijoined against the join of the other two, to fixpoint — restoring the
-iAG for cyclic CQs (the paper describes this but evaluates without it;
-our Table-1 harness follows the paper and disables it).
+``edge_burnback`` implements the paper's §4 edge-burnback mechanism for a
+single-cycle CQ (the paper describes it but evaluates without it; the
+Table-1 harness follows the paper and leaves it off). The Triangulator's
+triangles are the bags of a tree decomposition of the cycle, adjacent
+when they share a chord, so Yannakakis over that bag tree is a full
+reducer (Tarjan & Yannakakis, SIAM J. Comput. 1984; Gottlob, Leone &
+Scarcello, JCSS 2002): one pass from the ears inward builds each bag
+from its query edges and its children's chord projections, one pass
+from the root outward semijoins each child bag with its parent's, and
+each cycle edge becomes its bag's projection — the iAG, with no fixpoint.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
@@ -72,7 +77,7 @@ class AnswerGraph:
     edges: dict[int, DataFrame]
     order: tuple[int, ...]
     extension_walks: dict[int, int] = field(default_factory=dict)
-    # Edge counts taken by the last fixpoint check, valid until the edges change.
+    # Edge counts taken by the last fixpoint check; None once the edges change.
     _sizes: dict[int, int] | None = None
     _persisted: list[DataFrame] = field(default_factory=list)
 
@@ -135,8 +140,9 @@ def _scan(triples: DataFrame, query: QueryGraph, i: int) -> DataFrame:
     )
 
 
-def _semi(df: DataFrame, rel: DataFrame, var: str) -> DataFrame:
-    """Semijoin ``df`` with ``rel``'s projection onto ``var``.
+def _semi(df: DataFrame, rel: DataFrame, var: str | list[str]) -> DataFrame:
+    """Semijoin ``df`` with ``rel``'s projection onto ``var`` (one column
+    or several).
 
     The projection is bounded by the AG size — the very quantity the
     paper shows to be tiny — so it is broadcast explicitly and burnback
@@ -169,13 +175,19 @@ def _round(ag: AnswerGraph, owner: dict[str, int]) -> None:
             ag.edges[i] = ag.persist(df)
 
 
-def _burnback(ag: AnswerGraph) -> None:
-    """Node burnback: one round for a tree CQ (the iAG), rounds until the
-    edge counts stop changing for a cyclic one (the fixpoint)."""
+def _owners(ag: AnswerGraph) -> dict[str, int]:
+    """Each variable's owner: the first plan edge that binds it."""
     owner: dict[str, int] = {}
     for i in ag.order:
         for v in ag.query.edges[i].vars():
             owner.setdefault(v, i)
+    return owner
+
+
+def _burnback(ag: AnswerGraph) -> None:
+    """Node burnback: one round for a tree CQ (the iAG), rounds until the
+    edge counts stop changing for a cyclic one (the fixpoint)."""
+    owner = _owners(ag)
     ag._sizes = prev = None
     while True:
         _round(ag, owner)
@@ -237,23 +249,10 @@ def build_answer_graph(
 # ---------------------------------------------------------------------------
 
 
-def _side_relation(ag: AnswerGraph, u: str, w: str) -> DataFrame | None:
-    """The AG relation for cycle side (u, w), as a two-column DF, if (u, w)
-    is a query edge (in either direction)."""
-    for i, e in enumerate(ag.query.edges):
-        if {e.src, e.dst} == {u, w}:
-            return ag.edges[i].select(u, w)
-    return None
-
-
 def edge_burnback(ag: AnswerGraph, tri: Triangulation) -> AnswerGraph:
-    """Cull spurious edges from a cyclic CQ's AG, restoring the iAG.
-
-    Chords are materialized as the intersection over their triangles of
-    the join-projection of the opposite two sides; then every triangle
-    side is semijoined with the join of the other two sides, iterating to
-    fixpoint; finally node burnback re-cascades the shrunken node sets.
-    Only single-cycle queries (our diamonds) are supported; a CQ with more
+    """Cull spurious edges from a single-cycle CQ's AG, restoring the iAG
+    by Yannakakis over ``tri``'s bag tree (see the module docstring).
+    Edges off the cycle then get one node-burnback round. A CQ with more
     than one independent cycle raises ``ValueError``.
     """
     query = ag.query
@@ -262,65 +261,47 @@ def edge_burnback(ag: AnswerGraph, tri: Triangulation) -> AnswerGraph:
         raise ValueError(
             f"edge burnback supports single-cycle CQs; {query.name} has {cycles} cycles"
         )
+    edge_of = {frozenset(e.vars()): i for i, e in enumerate(query.edges)}
+    tris = [frozenset(t) for t in tri.triangles]
 
-    # side registry: var pair -> relation; query edges first, then chords.
-    def pair_key(u: str, w: str) -> tuple[str, str]:
-        return (u, w) if u <= w else (w, u)
+    def sides(t: int) -> list[frozenset[str]]:
+        return [frozenset(p) for p in itertools.combinations(tri.triangles[t], 2)]
 
-    sides: dict[tuple[str, str], DataFrame] = {}
-    is_chord: dict[tuple[str, str], bool] = {}
-    for a, b, c in tri.triangles:
-        for u, w in ((a, b), (b, c), (a, c)):
-            key = pair_key(u, w)
-            if key in sides:
-                continue
-            rel = _side_relation(ag, u, w)
-            if rel is not None:
-                sides[key] = rel
-                is_chord[key] = False
-    # chords: intersection of the join-projections across their triangles.
-    # By increasing polygon span, so that a chord's inner triangle already
-    # has both of its other sides (sides or shorter chords); an outer
-    # triangle that rests on a longer chord is applied by the loop below.
-    pos = {v: i for i, v in enumerate(tri.cycle)}
-    for u, w in sorted(tri.chords, key=lambda c: abs(pos[c[0]] - pos[c[1]])):
-        key = pair_key(u, w)
-        parts = []
-        for a, b, c in tri.triangles:
-            if {u, w} <= {a, b, c}:
-                (m,) = {a, b, c} - {u, w}
-                s1 = sides.get(pair_key(u, m))
-                s2 = sides.get(pair_key(m, w))
-                if s1 is None or s2 is None:
-                    continue
-                parts.append(s1.join(s2, on=m).select(u, w).distinct())
-        if not parts:
-            raise ValueError(f"chord {u},{w} has no fully-based triangle")
-        rel = parts[0]
-        for p in parts[1:]:
-            rel = rel.intersect(p)
-        sides[key] = ag.persist(rel)
-        is_chord[key] = True
+    # The dual tree, rooted at the first triangle: triangles sharing two
+    # vertices share a chord. ``order`` lists parents before children.
+    parent: dict[int, int] = {}
+    chord: dict[int, frozenset[str]] = {}  # a child's chord to its parent
+    order = [0]
+    for t in order:
+        for c, tc in enumerate(tris):
+            if c not in order and len(tris[t] & tc) == 2:
+                parent[c], chord[c] = t, tris[t] & tc
+                order.append(c)
 
-    # Sides only ever shrink, so the counts settle and the loop ends.
-    prev = _row_counts(list(sides.values()))
-    while True:
-        for a, b, c in tri.triangles:
-            for u, w in ((a, b), (b, c), (a, c)):
-                (m,) = {a, b, c} - {u, w}
-                key, k1, k2 = pair_key(u, w), pair_key(u, m), pair_key(m, w)
-                support = sides[k1].join(sides[k2], on=m).select(u, w).distinct()
-                sides[key] = ag.persist(sides[key].join(support, on=[u, w], how="left_semi"))
-        cur = _row_counts(list(sides.values()))
-        if cur == prev:
-            break
-        prev = cur
+    bags: dict[int, DataFrame] = {}
+    up: dict[frozenset[str], DataFrame] = {}  # chord -> its child bag's projection
+    for t in reversed(order):  # ears inward: join all sides but the parent chord
+        rels = [
+            ag.edges[edge_of[s]] if s in edge_of else up[s]
+            for s in sides(t)
+            if s != chord.get(t)
+        ]
+        bag = rels[0]
+        for r in rels[1:]:
+            on = [v for v in r.columns if v in bag.columns]
+            bag = _semi(bag, r, on) if len(on) == 2 else bag.join(F.broadcast(r), on=on)
+        bags[t] = ag.persist(bag)
+        if t in chord:
+            up[chord[t]] = bags[t].select(*sorted(chord[t])).distinct()
+    for t in order[1:]:  # root outward: keep what the parent bag supports
+        bags[t] = ag.persist(_semi(bags[t], bags[parent[t]], sorted(chord[t])))
 
-    # fold the reduced sides back into the AG's query-edge relations
-    for i, e in enumerate(query.edges):
-        key = pair_key(e.src, e.dst)
-        if key in sides and not is_chord[key]:
-            ag.edges[i] = sides[key].select(e.src, e.dst)
-
-    _burnback(ag)  # node burnback re-cascades the shrunken node sets
+    for t in order:  # each cycle edge is a side of exactly one triangle
+        for s in sides(t):
+            if s in edge_of:
+                e = query.edges[edge_of[s]]
+                ag.edges[edge_of[s]] = ag.persist(bags[t].select(e.src, e.dst).distinct())
+    ag._sizes = None  # the node-burnback counts are stale
+    if len(query.edges) > len(tri.cycle):
+        _round(ag, _owners(ag))  # carry the cycle's node sets to the other edges
     return ag

@@ -1,9 +1,10 @@
 """The Triangulator: chord selection for cyclic CQs.
 
 Cycles of length > 3 in a query graph are *triangulated* by adding chord
-"query edges"; during evaluation a chord is maintained as the
-intersection of the materialized joins of the opposite two sides of each
-triangle it participates in (see :func:`repro.core.answer_graph.edge_burnback`).
+"query edges". The triangles are the bags of a tree decomposition of the
+cycle, adjacent when they share a chord; edge burnback runs Yannakakis
+over that tree, where a chord carries the projection of the bag below it
+(see :func:`repro.core.answer_graph.edge_burnback`).
 
 Chord choice is a bottom-up dynamic program over the cycle polygon —
 the classic O(L^3) minimum-weight convex-polygon triangulation, where the

@@ -5,7 +5,9 @@ placeholders (218,014 snowflakes and 18,743 diamonds over YAGO2s) and
 keeps valid, non-empty ones. Here a template is the variable wiring of
 the shape; mining backtracks over label assignments, pruning with the
 catalog's 2-gram statistics (two adjacent labels must share at least one
-join value), and optionally validates candidates by executing them.
+join value), and validates each candidate with phase 1 alone: a CQ has an
+embedding exactly when its ideal answer graph is non-empty. A tree CQ's
+AG is ideal; a diamond's becomes ideal under edge burnback.
 """
 from __future__ import annotations
 
@@ -13,9 +15,10 @@ from typing import Iterator, Sequence
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.direct_join import BASELINES
+from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.catalog import Catalog
 from repro.core.query import QueryEdge, QueryGraph
+from repro.core.triangulate import triangulate_query
 
 # Variable wirings of the two Table-1 shapes (labels are the slots).
 SNOWFLAKE_TEMPLATE: tuple[tuple[str, str], ...] = (
@@ -98,13 +101,21 @@ def mine(
     candidate_limit: int = 2000,
     name_prefix: str = "mined",
 ) -> list[QueryGraph]:
-    """Mine up to ``limit`` *non-empty* queries (validated by execution)."""
+    """Mine up to ``limit`` *non-empty* queries: those whose ideal answer
+    graph, built in the template's (connected) textual order, has no
+    empty edge relation."""
     out: list[QueryGraph] = []
     for q in candidate_queries(
         catalog, template, limit=candidate_limit, name_prefix=name_prefix
     ):
-        if BASELINES["PG"](triples, q, catalog).limit(1).count() > 0:
-            out.append(q)
-            if len(out) >= limit:
-                break
+        ag = build_answer_graph(triples, q)
+        try:
+            if not q.is_tree():
+                edge_burnback(ag, triangulate_query(q, catalog))
+            if all(ag.edge_counts().values()):
+                out.append(q)
+        finally:
+            ag.unpersist()
+        if len(out) >= limit:
+            break
     return out

@@ -6,6 +6,8 @@ instance where node burnback provably leaves spurious edges.
 """
 from __future__ import annotations
 
+import duckdb
+import pandas as pd
 import pytest
 
 from repro.core import answer_graph as agmod
@@ -205,6 +207,64 @@ def test_edge_burnback_on_hexagon_with_middle_diagonal_first(spark):
         assert ag.edge_counts() == {i: 2 for i in range(6)}
         assert _edge_rows(ag, 0) == [(1, 2), (11, 12)]
         assert embeddings(ag).count() == 2
+    finally:
+        ag.unpersist()
+
+
+def _embedding_edge_pairs(rows, q) -> dict[int, list[tuple[int, int]]]:
+    """Per query edge, the distinct (src, dst) pairs of the embeddings (DuckDB)."""
+    con = duckdb.connect()
+    con.register("triples", pd.DataFrame(rows, columns=["s", "p", "o"]))
+    return {
+        i: sorted(con.execute(f"SELECT DISTINCT {e.src}, {e.dst} FROM ({q.to_sql()})").fetchall())
+        for i, e in enumerate(q.edges)
+    }
+
+
+# The diamond plus a path c-E->e-F->f. Two crossed a's (3 and 4) add
+# c=24, whose every node extends but which is in no embedding, and the
+# path's branch off c=24 is spurious with it.
+DIAP = cq("diap", *((e.src, e.label, e.dst) for e in DIA.edges), ("c", "E", "e"), ("e", "F", "f"))
+DIAP_ROWS = DIA_ROWS + [
+    (3, "A", 12), (12, "B", 24), (3, "C", 32), (32, "D", 20),
+    (4, "A", 13), (13, "B", 20), (4, "C", 33), (33, "D", 24),
+    (20, "E", 40), (40, "F", 50), (21, "E", 41), (41, "F", 51), (41, "F", 52),
+    (24, "E", 44), (44, "F", 54),  # the spurious branch
+]
+
+
+def test_edge_burnback_reaches_edges_off_the_cycle(spark):
+    df = micro_triples(spark, DIAP_ROWS)
+    ag = build_answer_graph(df, DIAP)
+    try:
+        assert ag.edge_counts()[4] == 3  # node burnback keeps (24, 44)
+        ag = edge_burnback(ag, triangulate_query(DIAP, build_catalog(df)))
+        expect = _embedding_edge_pairs(DIAP_ROWS, DIAP)
+        assert ag.edge_counts() == {i: len(p) for i, p in expect.items()}
+        assert all(_edge_rows(ag, i) == p for i, p in expect.items())
+        assert _edge_rows(ag, 5) == [(40, 50), (41, 51), (41, 52)]
+    finally:
+        ag.unpersist()
+
+
+# A 3-cycle: one closed triangle plus a 6-cycle that winds around the
+# query's 3-cycle twice, so every node extends but none closes.
+TRI = cq("tri", ("a", "A", "b"), ("b", "B", "c"), ("c", "C", "a"))
+TRI_ROWS = [(1, "A", 2), (2, "B", 3), (3, "C", 1)] + [
+    (11 + i, "ABC"[i % 3], 11 + (i + 1) % 6) for i in range(6)
+]
+
+
+def test_edge_burnback_on_triangle_without_chords(spark):
+    df = micro_triples(spark, TRI_ROWS)
+    tri = triangulate(["a", "b", "c"], lambda u, w: 1.0)
+    assert tri.chords == ()
+    ag = build_answer_graph(df, TRI)
+    try:
+        assert ag.edge_counts() == {0: 3, 1: 3, 2: 3}
+        ag = edge_burnback(ag, tri)
+        assert ag.edge_counts() == {0: 1, 1: 1, 2: 1}
+        assert [_edge_rows(ag, i) for i in range(3)] == [[(1, 2)], [(2, 3)], [(3, 1)]]
     finally:
         ag.unpersist()
 

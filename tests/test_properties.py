@@ -103,3 +103,79 @@ def test_wireframe_matches_duckdb_on_random_graphs(spark, pdf, q):
     con.register("triples", pdf)
     expect = con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
     assert count_embeddings(triples, q, cat) == expect
+
+
+@st.composite
+def single_cycle_queries(draw) -> tuple[list[str], QueryGraph]:
+    """Random L-cycle (L = 3..6) with random edge directions, maybe plus a
+    pendant edge at a random position; returns (cycle order, query)."""
+    L = draw(st.integers(3, 6))
+    cycle = [f"v{i}" for i in range(L)]
+    edges = []
+    for i in range(L):
+        a, b = cycle[i], cycle[(i + 1) % L]
+        label = draw(st.sampled_from(PREDS))
+        edges.append(QueryEdge(b, label, a) if draw(st.booleans()) else QueryEdge(a, label, b))
+    if draw(st.booleans()):
+        a, label = draw(st.sampled_from(cycle)), draw(st.sampled_from(PREDS))
+        pendant = QueryEdge("p", label, a) if draw(st.booleans()) else QueryEdge(a, label, "p")
+        edges.insert(draw(st.integers(0, L)), pendant)
+    return cycle, QueryGraph(tuple(edges), name="cyc")
+
+
+def _double_cover(cycle: list[str], q: QueryGraph) -> pd.DataFrame:
+    """Rows that wind ``q``'s cycle twice around a 2L-cycle of fresh nodes
+    (100, 101, ...), with a pendant edge off both copies of its anchor.
+    Every node extends, so node burnback keeps them all, but unless the
+    labels let a walk fold back, no closed L-cycle exists: spurious edges
+    that random small graphs almost never produce."""
+    L, pos = len(cycle), {v: i for i, v in enumerate(cycle)}
+    rows = []
+    for e in q.edges:
+        if e.src in pos and e.dst in pos:
+            for k in range(2 * L):
+                u, w = cycle[k % L], cycle[(k + 1) % L]
+                if {u, w} == {e.src, e.dst}:
+                    a, b = 100 + k, 100 + (k + 1) % (2 * L)
+                    rows.append((a, e.label, b) if e.src == u else (b, e.label, a))
+        else:
+            anchor = e.src if e.src in pos else e.dst
+            for n in (100 + pos[anchor], 100 + pos[anchor] + L):
+                rows.append((n, e.label, 200) if e.src == anchor else (200, e.label, n))
+    return pd.DataFrame(rows, columns=["s", "p", "o"])
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    pdf=data_graphs(),
+    cyc=single_cycle_queries(),
+    weights=st.lists(st.floats(1, 1e6, allow_nan=False), min_size=36, max_size=36),
+)
+def test_edge_burnback_ag_is_duckdb_projection(spark, pdf, cyc, weights):
+    """Under any triangulation, each edge-burnback AG relation is exactly
+    the projection of the CQ's embeddings onto that edge's variables."""
+    from repro.core.answer_graph import build_answer_graph, edge_burnback
+
+    cycle, q = cyc
+    pdf = pd.concat([pdf, _double_cover(cycle, q)], ignore_index=True)
+    idx = {v: i for i, v in enumerate(cycle)}
+    tri = triangulate(cycle, lambda u, w: weights[6 * idx[u] + idx[w]])
+    ag = build_answer_graph(
+        spark.createDataFrame(pdf), q, q.greedy_order(lambda prefix, j: 0.0)
+    )
+    try:
+        edge_burnback(ag, tri)
+        con = duckdb.connect()
+        con.register("triples", pdf)
+        expect = {
+            i: set(con.execute(f"SELECT DISTINCT {e.src}, {e.dst} FROM ({q.to_sql()})").fetchall())
+            for i, e in enumerate(q.edges)
+        }
+        got = {
+            i: set(map(tuple, ag.edges[i].select(e.src, e.dst).collect()))
+            for i, e in enumerate(q.edges)
+        }
+        assert got == expect
+        assert ag.edge_counts() == {i: len(rows) for i, rows in expect.items()}
+    finally:
+        ag.unpersist()

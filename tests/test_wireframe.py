@@ -1,15 +1,17 @@
 """End-to-end WIREFRAME: correctness vs oracle, factorization invariants."""
 from __future__ import annotations
 
+import contextlib
 import uuid
 
 import duckdb
 import pytest
 
 from repro.core import answer_graph, defactorize, wireframe
-from repro.core.answer_graph import build_answer_graph
+from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.planner import plan
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
+from repro.core.triangulate import triangulate_query
 from repro.oracle import assert_equivalent
 
 SMALL = [q for q in ALL_QUERIES if q.name not in ("S2", "S3", "S4")]
@@ -154,24 +156,55 @@ def test_cyclic_ag_is_node_burnback_fixpoint(triples, triples_pdf, catalog, q):
         r.unpersist()
 
 
+@contextlib.contextmanager
+def _job_group(sc):
+    """Run the body's Spark jobs in a fresh job group; yields its id."""
+    group = f"phase1-{uuid.uuid4().hex}"
+    saved = sc.getLocalProperty("spark.jobGroup.id")
+    sc.setJobGroup(group, "phase 1", False)
+    try:
+        yield group
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", saved)
+
+
+def _job_count(sc, group) -> int:
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 def test_phase1_jobs_bounded_by_semijoins(spark, triples, catalog):
     """A k-edge tree CQ costs at most one Spark job per semijoin: 2(k-1)."""
     q = SNOWFLAKES[0]
     sc = spark.sparkContext
-    group = f"phase1-{uuid.uuid4().hex}"
-    saved = sc.getLocalProperty("spark.jobGroup.id")
-    sc.setJobGroup(group, "build_answer_graph", False)
-    try:
+    with _job_group(sc) as group:
         ag = build_answer_graph(triples, q, plan(q, catalog).order)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", saved)
     try:
         ag.edge_counts()  # waits for every broadcast the build started
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        jobs = sc.statusTracker().getJobIdsForGroup(group)
-        assert 0 < len(jobs) <= 2 * (len(q.edges) - 1)
+        assert 0 < _job_count(sc, group) <= 2 * (len(q.edges) - 1)
     finally:
         ag.unpersist()
+
+
+def test_edge_burnback_jobs_bounded_by_node_burnback(spark, triples, catalog):
+    """Phase 1 on D6 with edge burnback, its counts included, launches at
+    most twice the jobs of phase 1 with node burnback alone."""
+    q = DIAMONDS[0]
+    sc = spark.sparkContext
+    order, tri = plan(q, catalog).order, triangulate_query(q, catalog)
+    jobs = []
+    for eb in (False, True):
+        with _job_group(sc) as group:
+            ag = build_answer_graph(triples, q, order)
+            try:
+                if eb:
+                    edge_burnback(ag, tri)
+                ag.edge_counts()
+            finally:
+                ag.unpersist()
+        jobs.append(_job_count(sc, group))
+    node, edge = jobs
+    assert 0 < node < edge <= 2 * node, jobs
 
 
 @pytest.mark.parametrize(
