@@ -30,7 +30,6 @@ import functools
 from typing import Callable
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.cardinality import Estimator
 from repro.core.catalog import Catalog
@@ -54,12 +53,7 @@ def _build(scans: list[DataFrame], t: JoinTree) -> DataFrame:
 def _execute(triples: DataFrame, query: QueryGraph, tree: JoinTree) -> DataFrame:
     """Join the query edges' predicate scans along ``tree`` (a cross
     product where two sides share no variable)."""
-    scans = [
-        triple_store.scan(triples, e.label).select(
-            F.col("s").alias(e.src), F.col("o").alias(e.dst)
-        )
-        for e in query.edges
-    ]
+    scans = [triple_store.scan(triples, e) for e in query.edges]
     return _build(scans, tree).select(*query.variables)
 
 

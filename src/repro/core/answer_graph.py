@@ -133,13 +133,6 @@ class AnswerGraph:
         self._persisted.clear()
 
 
-def _scan(triples: DataFrame, query: QueryGraph, i: int) -> DataFrame:
-    e = query.edges[i]
-    return triple_store.scan(triples, e.label).select(
-        F.col("s").alias(e.src), F.col("o").alias(e.dst)
-    )
-
-
 def _semi(df: DataFrame, rel: DataFrame, var: str | list[str]) -> DataFrame:
     """Semijoin ``df`` with ``rel``'s projection onto ``var`` (one column
     or several).
@@ -150,8 +143,10 @@ def _semi(df: DataFrame, rel: DataFrame, var: str | list[str]) -> DataFrame:
     ignores duplicate keys, so no ``distinct()`` (a shuffle stage and a
     second job) is needed. (The session disables *automatic* broadcasting
     so the baselines' large data-data joins exercise the shuffle path;
-    this hint is the WF operator design, not a global setting.)"""
-    return df.join(F.broadcast(rel.select(var)), on=var, how="left_semi")
+    this hint is the WF operator design, not a global setting.) The
+    result keeps ``df``'s column order; the join alone would put ``var``
+    first."""
+    return df.join(F.broadcast(rel.select(var)), on=var, how="left_semi").select(*df.columns)
 
 
 def _round(ag: AnswerGraph, owner: dict[str, int]) -> None:
@@ -222,7 +217,7 @@ def build_answer_graph(
     if not query.is_connected_order(list(order)):
         raise ValueError(f"not a connected left-deep order for {query.name}: {order}")
 
-    ag = AnswerGraph(query, {i: _scan(triples, query, i) for i in order}, order)
+    ag = AnswerGraph(query, {i: triple_store.scan(triples, query.edges[i]) for i in order}, order)
     try:
         if instrument:
             latest: dict[str, DataFrame] = {}

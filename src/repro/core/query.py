@@ -8,8 +8,9 @@ edge maps to a data edge with the same label.
 This module provides the query-graph data structure, shape predicates
 (connected / tree / cycle extraction), the connected-order rule that
 every edge order in the system follows, and a translation of a CQ to the
-equivalent self-join SQL over a ``(s, p, o)`` triple table — used both by
-the DuckDB correctness oracle and by tests.
+equivalent SQL join over one ``(s, o)`` table per predicate — the
+vertically partitioned layout the DuckDB oracle (:mod:`repro.oracle`)
+builds.
 """
 from __future__ import annotations
 
@@ -172,8 +173,9 @@ class QueryGraph:
         )
 
     # -- translation -----------------------------------------------------
-    def to_sql(self, table: str = "triples") -> str:
-        """Equivalent self-join SQL over a ``(s,p,o)`` triple table.
+    def to_sql(self) -> str:
+        """Equivalent SQL: a join of one ``(s, o)`` relation per query
+        edge, each named by :func:`predicate_table`.
 
         Every variable is projected under its own name; with set-semantic
         triples the result rows are exactly the CQ's embeddings.
@@ -181,8 +183,6 @@ class QueryGraph:
         first: dict[str, str] = {}
         where: list[str] = []
         for i, e in enumerate(self.edges):
-            label = e.label.replace("'", "''")  # SQL string-literal escape
-            where.append(f"t{i}.p = '{label}'")
             for var, col in ((e.src, "s"), (e.dst, "o")):
                 ref = f"t{i}.{col}"
                 if var in first:
@@ -190,8 +190,8 @@ class QueryGraph:
                 else:
                     first[var] = ref
         select = ", ".join(f"{first[v]} AS {v}" for v in self.variables)
-        tables = ", ".join(f"{table} t{i}" for i in range(len(self.edges)))
-        return f"SELECT {select} FROM {tables} WHERE {' AND '.join(where)}"
+        tables = ", ".join(f"{predicate_table(e.label)} t{i}" for i, e in enumerate(self.edges))
+        return f"SELECT {select} FROM {tables} WHERE {' AND '.join(where) or 'TRUE'}"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -200,6 +200,11 @@ class QueryGraph:
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"(?{e.src} {e.label} ?{e.dst})" for e in self.edges)
         return f"{self.name or 'CQ'}[{body}]"
+
+
+def predicate_table(label: str) -> str:
+    """The quoted SQL name of ``label``'s ``(s, o)`` relation."""
+    return '"p_' + label.replace('"', '""') + '"'
 
 
 def cq(name: str, *triples: tuple[str, str, str]) -> QueryGraph:

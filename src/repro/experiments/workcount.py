@@ -8,7 +8,7 @@ the paper's own unit, scheduler-independent:
 * a direct-join baseline reads every predicate scan of its join tree in
   full and materializes every intermediate join result: its work = the
   sum (and max) over every node of the tree but the root (computed
-  exactly with DuckDB), with the same tree the executor runs
+  exactly by the DuckDB oracle), with the same tree the executor runs
   (:data:`repro.baselines.direct_join.JOIN_TREES`);
 * WIREFRAME materializes the answer-graph edge relations and then only
   the final embeddings: its work = the edges retrieved by plan-order
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import duckdb
 import pandas as pd
 
+from repro import oracle
 from repro.baselines.direct_join import JOIN_TREES, JoinTree
 from repro.core.catalog import Catalog
 from repro.core.query import QueryGraph
@@ -36,13 +36,6 @@ class Work:
     peak: int  # largest single intermediate
 
 
-def _count_subquery(
-    con: duckdb.DuckDBPyConnection, query: QueryGraph, edge_idxs: list[int]
-) -> int:
-    sub = QueryGraph(tuple(query.edges[i] for i in edge_idxs), name="sub")
-    return con.execute(f"SELECT COUNT(*) FROM ({sub.to_sql()})").fetchone()[0]
-
-
 def tree_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: JoinTree) -> Work:
     """Sizes of every node of a join tree but the root: each leaf is a
     predicate scan read in full, each internal node an intermediate result."""
@@ -53,12 +46,9 @@ def tree_work(triples_pdf: pd.DataFrame, query: QueryGraph, tree: JoinTree) -> W
         a, b = node_edges(t[0]), node_edges(t[1])
         return a + b + [a[-1] + b[-1]]
 
-    con = duckdb.connect()
-    try:
-        con.register("triples", triples_pdf)
-        sizes = [_count_subquery(con, query, e) for e in node_edges(tree)[:-1]]
-    finally:
-        con.close()
+    subs = [QueryGraph(tuple(query.edges[i] for i in e)) for e in node_edges(tree)[:-1]]
+    with oracle.connect(triples_pdf, query) as con:
+        sizes = [con.execute(f"SELECT COUNT(*) FROM ({s.to_sql()})").fetchone()[0] for s in subs]
     return Work(total=sum(sizes), peak=max(sizes, default=0))
 
 

@@ -12,6 +12,8 @@ import os
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.query import QueryEdge
+
 SCHEMA = "s BIGINT, p STRING, o BIGINT"
 
 
@@ -32,9 +34,12 @@ def read(spark: SparkSession, path: str) -> DataFrame:
     return df.select("s", "p", F.col("o").cast("bigint").alias("o"))
 
 
-def scan(triples: DataFrame, predicate: str) -> DataFrame:
-    """All (s, o) pairs for one predicate (a pruned partition scan)."""
-    return triples.where(F.col("p") == F.lit(predicate)).select("s", "o")
+def scan(triples: DataFrame, edge: QueryEdge) -> DataFrame:
+    """A query edge's relation: every (s, o) pair of its predicate (a
+    pruned partition scan), with the columns named ``(edge.src, edge.dst)``."""
+    return triples.where(F.col("p") == F.lit(edge.label)).select(
+        F.col("s").alias(edge.src), F.col("o").alias(edge.dst)
+    )
 
 
 def materialize(spark: SparkSession, triples: DataFrame, path: str) -> DataFrame:

@@ -6,10 +6,10 @@ instance where node burnback provably leaves spurious edges.
 """
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
 import pytest
 
+from repro import oracle
 from repro.core import answer_graph as agmod
 from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.catalog import build_catalog
@@ -67,6 +67,7 @@ def test_order_does_not_change_iag(fig1):
     for order in [(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0)]:
         ag = build_answer_graph(fig1, CHAIN, order)
         assert ag.edge_counts() == {0: 3, 1: 1, 2: 3}, order
+        assert all(ag.edges[i].columns == [e.src, e.dst] for i, e in enumerate(CHAIN.edges)), order
         ag.unpersist()
 
 
@@ -211,16 +212,6 @@ def test_edge_burnback_on_hexagon_with_middle_diagonal_first(spark):
         ag.unpersist()
 
 
-def _embedding_edge_pairs(rows, q) -> dict[int, list[tuple[int, int]]]:
-    """Per query edge, the distinct (src, dst) pairs of the embeddings (DuckDB)."""
-    con = duckdb.connect()
-    con.register("triples", pd.DataFrame(rows, columns=["s", "p", "o"]))
-    return {
-        i: sorted(con.execute(f"SELECT DISTINCT {e.src}, {e.dst} FROM ({q.to_sql()})").fetchall())
-        for i, e in enumerate(q.edges)
-    }
-
-
 # The diamond plus a path c-E->e-F->f. Two crossed a's (3 and 4) add
 # c=24, whose every node extends but which is in no embedding, and the
 # path's branch off c=24 is spurious with it.
@@ -239,7 +230,7 @@ def test_edge_burnback_reaches_edges_off_the_cycle(spark):
     try:
         assert ag.edge_counts()[4] == 3  # node burnback keeps (24, 44)
         ag = edge_burnback(ag, triangulate_query(DIAP, build_catalog(df)))
-        expect = _embedding_edge_pairs(DIAP_ROWS, DIAP)
+        expect = oracle.edge_pairs(pd.DataFrame(DIAP_ROWS, columns=["s", "p", "o"]), DIAP)
         assert ag.edge_counts() == {i: len(p) for i, p in expect.items()}
         assert all(_edge_rows(ag, i) == p for i, p in expect.items())
         assert _edge_rows(ag, 5) == [(40, 50), (41, 51), (41, 52)]

@@ -1,13 +1,12 @@
 """Baseline (PG/VT/MD/NJ sim) correctness and planning behaviour."""
 from __future__ import annotations
 
-import duckdb
 import pytest
 
 from repro.baselines import BASELINES
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
 from repro.core.query import cq
-from repro.oracle import assert_equivalent
+from repro import oracle
 
 # Two components (4,000 embeddings at SF=0.01): every baseline returns
 # their cross product.
@@ -20,24 +19,18 @@ SMALL = [q for q in ALL_QUERIES if q.name in ("S1", "S5", "D6", "D7", "D8", "D9"
 BIG = [q for q in ALL_QUERIES if q.name in ("S2", "S3", "S4")]
 
 
-def _expected_count(triples_pdf, q) -> int:
-    con = duckdb.connect()
-    con.register("triples", triples_pdf)
-    return con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
-
-
 @pytest.mark.parametrize("system", sorted(BASELINES))
 @pytest.mark.parametrize("q", SMALL, ids=lambda q: q.name)
 def test_baseline_matches_oracle(triples, triples_pdf, catalog, system, q):
     df = BASELINES[system](triples, q, catalog)
-    assert_equivalent(df, q.to_sql(), triples=triples_pdf)
+    oracle.assert_equivalent(df, q, triples_pdf)
 
 
 @pytest.mark.parametrize("system", sorted(BASELINES))
 @pytest.mark.parametrize("q", BIG, ids=lambda q: q.name)
 def test_baseline_matches_oracle_count(triples, triples_pdf, catalog, system, q):
     df = BASELINES[system](triples, q, catalog)
-    assert df.count() == _expected_count(triples_pdf, q)
+    assert df.count() == oracle.count(triples_pdf, q)
 
 
 @pytest.mark.parametrize("system", sorted(BASELINES))

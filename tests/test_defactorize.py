@@ -6,7 +6,7 @@ import pytest
 from repro.core.answer_graph import build_answer_graph
 from repro.core.defactorize import embeddings, greedy_order
 from repro.core.query import cq
-from repro.oracle import assert_equivalent
+from repro import oracle
 from repro.core.queries_table1 import ALL_QUERIES
 from tests.conftest import micro_triples
 
@@ -68,12 +68,7 @@ def test_embeddings_match_oracle_textual_order(triples, triples_pdf, q):
     ag = build_answer_graph(triples, q)
     emb = embeddings(ag)
     if q.name in ("S2", "S3", "S4"):  # large results: compare counts
-        import duckdb
-
-        con = duckdb.connect()
-        con.register("triples", triples_pdf)
-        expect = con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
-        assert emb.count() == expect
+        assert emb.count() == oracle.count(triples_pdf, q)
     else:
-        assert_equivalent(emb, q.to_sql(), triples=triples_pdf)
+        oracle.assert_equivalent(emb, q, triples_pdf)
     ag.unpersist()

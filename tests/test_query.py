@@ -1,10 +1,10 @@
 """Query-graph model and CQ→SQL translation tests."""
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
 import pytest
 
+from repro import oracle
 from repro.core.query import QueryEdge, QueryGraph, cq
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, PAPER_TABLE1, SNOWFLAKES
 
@@ -150,14 +150,13 @@ MICRO = pd.DataFrame(
 )
 
 
-def _run_sql(sql: str) -> list[tuple]:
-    con = duckdb.connect()
-    con.register("triples", MICRO)
-    return sorted(tuple(r) for r in con.execute(sql).fetchall())
+def _run_sql(q: QueryGraph) -> list[tuple]:
+    with oracle.connect(MICRO, q) as con:
+        return sorted(con.execute(q.to_sql()).fetchall())
 
 
 def test_to_sql_chain_semantics():
-    rows = _run_sql(CHAIN.to_sql())
+    rows = _run_sql(CHAIN)
     # w-A->x-B->y-C->z: via 10->20->{30,31} for w in {1,2}; 11->21->32 for 3
     assert rows == [
         (1, 10, 20, 30), (1, 10, 20, 31),
@@ -174,27 +173,22 @@ def test_to_sql_projects_variables_in_order():
 
 def test_to_sql_single_edge():
     q = cq("one", ("u", "B", "v"))
-    assert _run_sql(q.to_sql()) == [(10, 20), (11, 21), (12, 22)]
+    assert _run_sql(q) == [(10, 20), (11, 21), (12, 22)]
 
 
 def test_to_sql_shared_subject():
     q = cq("fork", ("x", "C", "u"), ("x", "C", "v"))
-    rows = _run_sql(q.to_sql())
+    rows = _run_sql(q)
     # x=20 has objects {30,31} -> 4 combos; x=21 -> 1
     assert rows == [
         (20, 30, 30), (20, 30, 31), (20, 31, 30), (20, 31, 31), (21, 32, 32),
     ]
 
 
-def test_to_sql_table_name_parameter():
-    assert "mytable t0" in cq("x", ("a", "A", "b")).to_sql("mytable")
-
-
 def test_to_sql_quotes_labels():
-    """A quote in a label is escaped, so the SQL stays valid and exact."""
-    con = duckdb.connect()
-    con.register("triples", pd.DataFrame(
-        [(1, "O'Hare", 10), (10, "B", 20), (2, "O", 10)], columns=["s", "p", "o"]
-    ))
-    q = cq("quoted", ("a", "O'Hare", "b"), ("b", "B", "c"))
-    assert con.execute(q.to_sql()).fetchall() == [(1, 10, 20)]
+    """Quotes in a label are escaped, so the SQL stays valid and exact."""
+    label = 'O\'Hare "Intl"'
+    pdf = pd.DataFrame([(1, label, 10), (10, "B", 20), (2, "O", 10)], columns=["s", "p", "o"])
+    q = cq("quoted", ("a", label, "b"), ("b", "B", "c"))
+    assert oracle.count(pdf, q) == 1
+    assert oracle.edge_pairs(pdf, q) == {0: [(1, 10)], 1: [(10, 20)]}

@@ -1,9 +1,9 @@
 """Query miner: 2-gram screening and non-emptiness validation."""
 from __future__ import annotations
 
-import duckdb
 import pytest
 
+from repro import oracle
 from repro.baselines.direct_join import BASELINES
 from repro.core.query import QueryGraph
 from repro.rdf.query_miner import (
@@ -56,18 +56,9 @@ def test_mined_diamonds_nonempty(triples, catalog):
 def test_mined_snowflakes_nonempty(triples, triples_pdf, catalog):
     mined = mine(triples, catalog, SNOWFLAKE_TEMPLATE, limit=2, candidate_limit=6)
     assert 1 <= len(mined) <= 2
-    # Joined in the template's (connected) textual order, every hash-join
-    # build side is one scan and LIMIT 1 stops the probe at the first row.
-    # DuckDB's own join order builds a join of these high-fan-out
-    # snowflakes that outgrows memory and spills gigabytes to disk; the
-    # limits make such a plan fail instead.
-    con = duckdb.connect()
-    con.execute("SET disabled_optimizers = 'join_order'")
-    con.execute("SET memory_limit = '1GB'")
-    con.execute("SET temp_directory = ''")
-    con.register("triples", triples_pdf)
     for q in mined:
-        assert con.execute(f"{q.to_sql()} LIMIT 1").fetchall(), q
+        with oracle.connect(triples_pdf, q) as con:
+            assert con.execute(f"{q.to_sql()} LIMIT 1").fetchall(), q
 
 
 def test_mined_names_prefixed(triples, catalog):

@@ -7,6 +7,7 @@ import time
 import pytest
 from pyspark.sql import functions as F
 
+from repro import oracle
 from repro.core import answer_graph, wireframe
 from repro.core.queries_table1 import PAPER_TABLE1
 from repro.experiments import table1 as t1
@@ -81,16 +82,11 @@ def test_timed_out_wf_cell_releases_checkpoints(spark, triples, catalog, monkeyp
 
 
 def test_time_cell_wf_returns_count(spark, triples, catalog, triples_pdf):
-    import duckdb
-
     row = PAPER_TABLE1[5]  # D6, cheap
     secs, n = t1.time_cell(
         spark, "WF", triples, row.query, catalog, timeout_s=300, rounds=1
     )
-    con = duckdb.connect()
-    con.register("triples", triples_pdf)
-    expect = con.execute(f"SELECT COUNT(*) FROM ({row.query.to_sql()})").fetchone()[0]
-    assert n == expect
+    assert n == oracle.count(triples_pdf, row.query)
     assert secs is not None and secs > 0
 
 

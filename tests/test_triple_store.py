@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.core.query import QueryEdge
 from repro.rdf import triple_store
 from tests.conftest import micro_triples
 
@@ -32,15 +33,17 @@ def test_partitioned_by_predicate(spark, store_path):
 def test_scan_filters_one_predicate(spark, store_path):
     triple_store.write(micro_triples(spark, ROWS), store_path)
     back = triple_store.read(spark, store_path)
-    got = sorted(tuple(r) for r in triple_store.scan(back, "A").collect())
-    assert got == [(1, 10), (2, 11)]
-    assert triple_store.scan(back, "missing").count() == 0
+    scan = triple_store.scan(back, QueryEdge("x", "A", "y"))
+    assert scan.columns == ["x", "y"]
+    assert sorted(tuple(r) for r in scan.collect()) == [(1, 10), (2, 11)]
+    assert triple_store.scan(back, QueryEdge("x", "missing", "y")).count() == 0
 
 
 def test_scan_plan_prunes_partitions(spark, store_path):
     triple_store.write(micro_triples(spark, ROWS), store_path)
     back = triple_store.read(spark, store_path)
-    plan = triple_store.scan(back, "A")._jdf.queryExecution().executedPlan().toString()
+    scan = triple_store.scan(back, QueryEdge("x", "A", "y"))
+    plan = scan._jdf.queryExecution().executedPlan().toString()
     assert "PartitionFilters" in plan or "p=A" in plan
 
 

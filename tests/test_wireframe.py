@@ -4,7 +4,6 @@ from __future__ import annotations
 import contextlib
 import uuid
 
-import duckdb
 import pytest
 
 from repro.core import answer_graph, defactorize, wireframe
@@ -12,37 +11,29 @@ from repro.core.answer_graph import build_answer_graph, edge_burnback
 from repro.core.planner import plan
 from repro.core.queries_table1 import ALL_QUERIES, DIAMONDS, SNOWFLAKES
 from repro.core.triangulate import triangulate_query
-from repro.oracle import assert_equivalent
+from repro import oracle
 
 SMALL = [q for q in ALL_QUERIES if q.name not in ("S2", "S3", "S4")]
 BIG = [q for q in ALL_QUERIES if q.name in ("S2", "S3", "S4")]
 
 
-def _expected_count(triples_pdf, q) -> int:
-    con = duckdb.connect()
-    con.register("triples", triples_pdf)
-    return con.execute(f"SELECT COUNT(*) FROM ({q.to_sql()})").fetchone()[0]
-
-
 @pytest.mark.parametrize("q", SMALL, ids=lambda q: q.name)
 def test_wireframe_matches_oracle(triples, triples_pdf, catalog, q):
     r = wireframe.run(triples, q, catalog)
-    assert_equivalent(r.embedding_df, q.to_sql(), triples=triples_pdf)
+    oracle.assert_equivalent(r.embedding_df, q, triples_pdf)
     r.unpersist()
 
 
 @pytest.mark.parametrize("q", BIG, ids=lambda q: q.name)
 def test_wireframe_matches_oracle_count(triples, triples_pdf, catalog, q):
-    assert wireframe.count_embeddings(triples, q, catalog) == _expected_count(
-        triples_pdf, q
-    )
+    assert wireframe.count_embeddings(triples, q, catalog) == oracle.count(triples_pdf, q)
 
 
 @pytest.mark.parametrize("q", ALL_QUERIES, ids=lambda q: q.name)
 def test_instrumented_run_fields(triples, triples_pdf, catalog, q):
     r = wireframe.run(triples, q, catalog, instrument=True)
     try:
-        assert r.embedding_count == _expected_count(triples_pdf, q)
+        assert r.embedding_count == oracle.count(triples_pdf, q)
         assert r.ag_triples is not None and r.ag_triples > 0
         assert set(r.ag_edge_counts) == set(range(len(q.edges)))
         assert r.ag_triples <= sum(r.ag_edge_counts.values())
@@ -84,9 +75,7 @@ def test_edge_burnback_shrinks_ag_preserves_result(triples, triples_pdf, catalog
     eb = wireframe.run(triples, q, catalog, instrument=True, use_edge_burnback=True)
     try:
         assert eb.triangulation is not None and len(eb.triangulation.chords) == 1
-        assert eb.embedding_count == base.embedding_count == _expected_count(
-            triples_pdf, q
-        )
+        assert eb.embedding_count == base.embedding_count == oracle.count(triples_pdf, q)
         assert eb.ag_triples <= base.ag_triples
     finally:
         base.unpersist()
